@@ -16,7 +16,8 @@ Pipeline per epoch:
       -> map_batches(convert, batch_format="pyarrow")   # html->text kernel,
              schema projection, content-hash, bucket, per-batch partial LWW
       -> bucket exchange (one of three, identical results)
-      -> per-bucket merge (delta write or compaction, through the Sink SPI)
+      -> bucket merge: one merger call per merge task, all its buckets at
+             once (delta write or compaction, through the Sink SPI)
       -> tiny lineage table -> manifest commit on the driver
 
 Exchange strategies (equivalence tested manifest-for-manifest):
@@ -417,257 +418,247 @@ def make_generic_convert_fn(stored_schema: pa.Schema, num_buckets: int, key: str
     return convert
 
 
-def make_bucket_merger(table: LakeTable, epoch: int, live: dict[int, dict],
-                       mode: str = "upsert", max_deltas: int = 4, sink=None):
-    """Per-bucket merge task run inside ``groupby('bucket').map_groups``.
+# One lineage row per touched bucket: the manifest entry the merge produced,
+# its row accounting, and the delta path's chain-read row-group counters.
+LINEAGE_SCHEMA = pa.schema([
+    pa.field("bucket", pa.int32()),
+    pa.field("file", pa.string()),
+    pa.field("deltas", pa.string()),
+    pa.field("epoch_file", pa.string()),
+    pa.field("rows", pa.int64()),
+    pa.field("rows_changed", pa.int64()),
+    pa.field("rows_failed", pa.int64()),
+    pa.field("rows_deleted", pa.int64()),
+    pa.field("digest", pa.string()),
+    pa.field("rg_total", pa.int64()),
+    pa.field("rg_skipped", pa.int64()),
+])
 
-    Each invocation owns one bucket. Steady-state upsert epochs take the
-    **delta path**: read ONLY ``(key, order…)`` of the bucket's chain
-    (column-pruned footer-light scan), decide per change row whether it
-    beats the current winner (vectorized lexicographic compare), and write
-    just the winning rows as a ``delta-<epoch>.parquet`` — IO is
-    O(changes + keys·3cols), not O(bucket), and the bucket is never
-    rewritten wholesale (cf. the reference's incremental pooled-writer
-    flush, ``FeatureWriters.scala:197-260``). When the chain reaches
-    ``max_deltas`` (or for epoch-0 creation, partial-update mode, and
-    dead-only groups) the task **compacts**: full chain merge, url-sorted
-    rewrite, chain reset. Snapshot readers merge base+deltas per bucket
-    (LWW with position tiebreak), so logical state is identical either way.
+
+def _mask(arr) -> np.ndarray:
+    """Boolean compute result as a numpy mask, null -> False."""
+    return pc.fill_null(arr, False).to_numpy(zero_copy_only=False)
+
+
+def make_bucket_merger(table: LakeTable, epoch: int, live: dict[int, dict],
+                       mode: str = "upsert", max_deltas: int = 4, sink=None,
+                       sections: dict | None = None):
+    """Build one epoch's merge function, ``merger(t) -> lineage``.
+
+    ``t`` holds converted change rows of any number of buckets (its
+    ``bucket`` column says which); the result has one
+    :data:`LINEAGE_SCHEMA` row per bucket of ``t``, ascending by bucket.
+    The tiny, split and late exchanges hand each merge task's whole
+    multi-bucket table to one call; the sort exchange's ``map_groups``
+    calls it once per bucket, which is the same code with one bucket.
+
+    Steady-state upsert buckets take the **delta path**, decided for all
+    of them in one vectorized pass: the ``_dead``/``_op``/``_mode``
+    filters, projection and LWW run once over the whole input (keys never
+    span buckets); each bucket's chain is read as ``(key, order…, _tomb)``
+    only, row-group pruned to the epoch's keys, and the chains are
+    concatenated; one ``pc.index_in`` join plus one ``lex_ge`` decides
+    which change rows beat their stored winners
+    (:func:`~geomesa_nifi_ray.upsert.beats_stored`); the kept rows are
+    sorted once by (bucket, key) and sliced into one
+    ``delta-<epoch>.parquet`` per bucket. IO is O(changes +
+    keys·3cols), not O(bucket), and a bucket is never rewritten wholesale
+    (cf. the reference's incremental pooled-writer flush,
+    ``FeatureWriters.scala:197-260``). A bucket **compacts** instead —
+    full chain merge, key-sorted rewrite, chain reset — at creation, when
+    its chain reaches ``max_deltas``, in partial-update mode, when it
+    holds update-tagged ``_mode`` rows, and when it saw only dead rows.
+    Snapshot readers merge base+deltas per bucket (LWW with position
+    tiebreak), so logical state is identical either way.
 
     The live-entry map (one entry per bucket; can be large at high P) is
-    broadcast once via ``ray.put`` rather than captured in the task
-    closure, so it ships to each node once, not once per task.
+    broadcast once via ``ray.put`` rather than captured in the closure,
+    and each call fetches it once.
+
+    ``sections``, when given, accumulates the merger's wall seconds per
+    section — ``filter``, ``chain_read``, ``decide``, ``write``,
+    ``lineage`` — for in-process benches (``tools/merge_kernel_bench.py``).
     """
     import json as _json
+    import time
 
     import numpy as np
-    import pandas as pd
     import ray
 
-    from geomesa_nifi_ray.upsert import _fill_order_lose, lex_ge, lww_indices
+    from geomesa_nifi_ray.upsert import beats_stored, lww_indices
 
     if sink is None:
         from geomesa_nifi_ray.sinks import ParquetLakeSink
 
         sink = ParquetLakeSink(table)
     stored_schema = table.schema
-    key, order = table.key, table.order
+    key, order = table.key, list(table.order)
+    min_cols = [key] + order
     live_ref = ray.put(live)
+    # chain reads are key-pruned when the sink supports it: bucket files
+    # are key-sorted, so row groups whose [min,max] cannot contain any of
+    # this epoch's keys are skipped — a small epoch reads O(its key span),
+    # not O(touched chain). Pruning only drops rows whose keys the epoch
+    # does not touch; those never join against the change rows.
+    keyed_read = getattr(sink, "read_partition_keyed", None)
 
-    def _lineage_row(bucket, file, deltas, epoch_file, rows, rows_changed,
-                     failed, digest, deleted=0, rg_total=0,
-                     rg_skipped=0) -> pa.Table:
-        return pa.table(
-            {
-                "bucket": pa.array([bucket], type=pa.int32()),
-                "file": pa.array([file], type=pa.string()),
-                "deltas": pa.array([_json.dumps(deltas)], type=pa.string()),
-                "epoch_file": pa.array([epoch_file], type=pa.string()),
-                "rows": pa.array([rows], type=pa.int64()),
-                "rows_changed": pa.array([rows_changed], type=pa.int64()),
-                "rows_failed": pa.array([failed], type=pa.int64()),
-                "rows_deleted": pa.array([deleted], type=pa.int64()),
-                "digest": pa.array([digest], type=pa.string()),
-                # chain-read row-group pruning observability (delta path)
-                "rg_total": pa.array([rg_total], type=pa.int64()),
-                "rg_skipped": pa.array([rg_skipped], type=pa.int64()),
-            }
-        )
+    def _lap(t0: float, name: str) -> float:
+        """Add the time since ``t0`` to section ``name``; return now."""
+        now = time.perf_counter()
+        if sections is not None:
+            sections[name] = sections.get(name, 0.0) + (now - t0)
+        return now
 
-    def merge_bucket(group: pa.Table) -> pa.Table:
-        bucket = group["bucket"][0].as_py()
-        changes = group.drop_columns(["bucket"])
-        failed = 0
-        if "_dead" in changes.column_names:
-            dead_mask = pc.equal(changes["_dead"], pa.scalar(1, pa.int8()))
-            failed = pc.sum(pc.cast(dead_mask, pa.int64())).as_py() or 0
-            changes = changes.filter(pc.invert(dead_mask)).drop_columns(["_dead"])
-        # per-row op directive: split delete events out first. Deletes rank
-        # against the surviving winner by the same (warc_ts, offset) order
-        # in the final filter below; unknown ops dead-letter.
-        delete_part = None
-        if OP_COLUMN in changes.column_names:
-            ocol = pc.fill_null(pc.cast(changes[OP_COLUMN], pa.string()), "")
-            is_del = pc.equal(ocol, "delete")
-            op_known = pc.or_(
-                pc.or_(is_del, pc.equal(ocol, "upsert")), pc.equal(ocol, "")
-            )
-            n_bad_op = pc.sum(pc.cast(pc.invert(op_known), pa.int64())).as_py() or 0
-            if n_bad_op:
-                failed += n_bad_op
-                changes = changes.filter(op_known)
-                ocol = ocol.filter(op_known)
-                is_del = pc.equal(ocol, "delete")
-            changes = changes.drop_columns([OP_COLUMN])
-            if (pc.sum(pc.cast(is_del, pa.int64())).as_py() or 0) > 0:
-                delete_part = changes.filter(is_del)
-                changes = changes.filter(pc.invert(is_del))
+    def _lineage(bucket, file, deltas, epoch_file, rows, rows_changed,
+                 failed, digest, deleted=0, rg_total=0, rg_skipped=0) -> dict:
+        return {"bucket": int(bucket), "file": file,
+                "deltas": _json.dumps(deltas), "epoch_file": epoch_file,
+                "rows": int(rows), "rows_changed": int(rows_changed),
+                "rows_failed": int(failed), "rows_deleted": int(deleted),
+                "digest": digest, "rg_total": int(rg_total),
+                "rg_skipped": int(rg_skipped)}
 
-        # per-row mode directive (DynamicWriters at row granularity):
-        # explicit 'update'/'upsert' wins, null/'' follows the epoch
-        # default; unknown directives dead-letter (counted failed), like
-        # any bad record. changes keeps the upsert-destined rows.
-        update_part = None
-        row_modes = MODE_COLUMN in changes.column_names
-        if row_modes:
-            mcol = pc.fill_null(pc.cast(changes[MODE_COLUMN], pa.string()), "")
-            is_default = pc.equal(mcol, "")
-            is_upd = pc.equal(mcol, "update")
-            is_known = pc.or_(
-                pc.or_(is_upd, pc.equal(mcol, "upsert")), is_default
-            )
-            n_bad = pc.sum(pc.cast(pc.invert(is_known), pa.int64())).as_py() or 0
-            if n_bad:
-                failed += n_bad
-                changes = changes.filter(is_known)
-                mcol = mcol.filter(is_known)
-                is_default = pc.equal(mcol, "")
-                is_upd = pc.equal(mcol, "update")
-            if mode == "update":
-                is_upd = pc.or_(is_upd, is_default)
-            changes = changes.drop_columns([MODE_COLUMN])
-            update_part = changes.filter(is_upd)
-            changes = changes.filter(pc.invert(is_upd))
-        entry = ray.get(live_ref).get(bucket)
-        rows_changed = changes.num_rows + (
-            update_part.num_rows if update_part is not None else 0
-        ) + (delete_part.num_rows if delete_part is not None else 0)
-        chain = LakeTable.chain_files(entry) if entry else []
+    def _read_chain(entry, keys, target: pa.Schema
+                    ) -> tuple[list[pa.Table], int, int]:
+        """One bucket's chain as ``target`` = (key, order…, _tomb) tables,
+        oldest first, plus (row groups seen, row groups kept). The cast
+        gives every file the change rows' types: a chain file may predate
+        a widening of its column."""
+        parts, rg_total, rg_kept = [], 0, 0
+        for p in LakeTable.chain_files(entry):
+            if keyed_read is not None:
+                part, t_rg, k_rg = keyed_read(
+                    p, min_cols + [TOMB_COLUMN], key, keys)
+                rg_total += t_rg
+                rg_kept += k_rg
+            else:
+                part = sink.read_partition(p, columns=min_cols + [TOMB_COLUMN])
+            if TOMB_COLUMN not in part.column_names:
+                part = part.append_column(
+                    TOMB_COLUMN, pa.nulls(part.num_rows, pa.int8()).fill_null(0))
+            parts.append(part.select(target.names).cast(target))
+        return parts, rg_total, rg_kept
 
-        use_delta = (
-            mode == "upsert"
-            and (update_part is None or update_part.num_rows == 0)
-            and entry is not None
-            and (changes.num_rows > 0
-                 or (delete_part is not None and delete_part.num_rows > 0))
-            and len(entry.get("deltas", [])) < max_deltas
-        )
-        if use_delta:
-            # winners + TOMBSTONES in one delta: a delete that beats the
-            # stored winner writes a _tomb=1 marker row (key + order +
-            # content_hash only) instead of forcing an O(bucket) compaction;
-            # chain readers (merge_chain_tables) suppress tombstoned keys.
-            changes = project_to_schema(changes, stored_schema)
-            changes = lww_dedupe(changes, key, order)
-            combined = changes.append_column(
-                TOMB_COLUMN, pa.nulls(changes.num_rows, pa.int8()).fill_null(0)
-            )
-            if delete_part is not None and delete_part.num_rows:
-                dels = project_to_schema(
-                    lww_dedupe(delete_part, key, order), stored_schema
-                )
-                dels = dels.append_column(
-                    TOMB_COLUMN, pa.nulls(dels.num_rows, pa.int8()).fill_null(1)
-                )
-                combined = lww_dedupe(
-                    pa.concat_tables([combined, dels]), key, order
-                )
-            min_cols = [key] + order
-            # chain reads are key-pruned when the sink supports it: bucket
-            # files are key-sorted, so row groups whose [min,max] cannot
-            # contain any of this epoch's keys are skipped — a small epoch
-            # reads O(its key span), not O(touched chain) (round-4 verdict
-            # item #3). Pruning only drops rows whose keys the epoch does
-            # not touch; those never join against the change rows below.
-            keyed_read = getattr(sink, "read_partition_keyed", None)
-            epoch_keys = (sorted(set(combined[key].to_pylist()))
-                          if keyed_read is not None else None)
-            rg_total = rg_kept = 0
-            cur_parts = []
-            for p in chain:
-                if keyed_read is not None:
-                    part, t_rg, k_rg = keyed_read(
-                        p, min_cols + [TOMB_COLUMN], key, epoch_keys)
-                    rg_total += t_rg
-                    rg_kept += k_rg
-                else:
-                    part = sink.read_partition(p, columns=min_cols + [TOMB_COLUMN])
-                if TOMB_COLUMN not in part.column_names:
-                    part = part.append_column(
-                        TOMB_COLUMN, pa.nulls(part.num_rows, pa.int8()).fill_null(0)
-                    )
-                cur_parts.append(part.select(min_cols + [TOMB_COLUMN]))
-            cur = pa.concat_tables(cur_parts)
-            cur = cur.take(pa.array(np.sort(lww_indices(cur, key, order))))
-            cur_pd = cur.to_pandas()
-            ch_pd = combined.select(min_cols + [TOMB_COLUMN]).to_pandas()
-            j = ch_pd.merge(cur_pd, on=key, how="left", suffixes=("", "_cur"))
-            have = j[f"{order[0]}_cur"].notna().to_numpy()
-            # Null order values must LOSE to every real value and tie with
-            # each other (the _order_arrays verdict, so the delta and
-            # full-merge paths agree) — on BOTH join sides: the left join
-            # leaves NaN under new keys, and secondary string/nullable
-            # order columns (e.g. order=('warc_ts','lang')) can be null on
-            # either side even when every key already exists (have.all()).
-            # Unfilled, str-vs-NaN/None raises TypeError in lex_ge;
-            # numeric NaN compares False asymmetrically (stored-null would
-            # spuriously beat a real change value).
-            a_cols, b_cols = [], []
-            for c in order:
-                a_cols.append(_fill_order_lose(j[c]))
-                b_cols.append(_fill_order_lose(j[f"{c}_cur"]))
-            ge = lex_ge(a_cols, b_cols)
-            wins = ~have | ge  # ties go to the change row (concat-order parity)
-            w_tomb = j[TOMB_COLUMN].to_numpy() == 1
-            cur_tomb_raw = j[f"{TOMB_COLUMN}_cur"].to_numpy()
-            cur_tomb = have & (np.nan_to_num(
-                cur_tomb_raw.astype(np.float64), nan=0.0) == 1.0)
-            # visible-row accounting: a live winner inserts when the key was
-            # absent OR tombstoned; a tombstone deletes only a live key;
-            # tombstones for absent/already-deleted keys are no-ops (parity
-            # with the compaction path) and are not written.
-            inserts = int((wins & ~w_tomb & (~have | cur_tomb)).sum())
-            dels_applied = int((wins & w_tomb & have & ~cur_tomb).sum())
-            keep = wins & (~w_tomb | (have & ~cur_tomb))
-            delta = combined.filter(pa.array(keep))
-            if delta.num_rows == 0:
+    def _delta_merge(t, b, rows, dels, buckets, entries, failed,
+                     changed) -> list[dict]:
+        """Delta path for ``buckets`` (ascending): ``rows``/``dels`` mask
+        the upsert and delete rows of ``t`` that belong to them."""
+        t0 = time.perf_counter()
+
+        def winners(mask, tomb: int) -> pa.Table:
+            w = project_to_schema(t.filter(pa.array(mask)), stored_schema)
+            w = w.append_column("bucket", pa.array(b[mask], type=pa.int32()))
+            w = lww_dedupe(w, key, order)
+            return w.append_column(
+                TOMB_COLUMN, pa.nulls(w.num_rows, pa.int8()).fill_null(tomb))
+
+        # winners + TOMBSTONES in one delta: a delete that beats the stored
+        # winner writes a _tomb=1 marker row (key + order + content_hash
+        # only) instead of forcing an O(bucket) compaction; chain readers
+        # (merge_chain_tables) suppress tombstoned keys. Deletes follow the
+        # upserts, so an exact tie goes to the delete.
+        combined = winners(rows, 0)
+        if dels.any():
+            combined = lww_dedupe(
+                pa.concat_tables([combined, winners(dels, 1)]), key, order)
+        combined = combined.take(pc.sort_indices(
+            combined, sort_keys=[("bucket", "ascending"), (key, "ascending")]))
+        cb = combined["bucket"].to_numpy(zero_copy_only=False)
+        lo = np.searchsorted(cb, buckets, side="left")
+        hi = np.searchsorted(cb, buckets, side="right")
+        target = pa.schema([combined.schema.field(c) for c in min_cols]
+                           + [pa.field(TOMB_COLUMN, pa.int8())])
+        t0 = _lap(t0, "decide")
+        cur_parts, rg = [], []
+        for j, entry in enumerate(entries):
+            keys = (combined[key].slice(lo[j], hi[j] - lo[j]).to_pylist()
+                    if keyed_read is not None else None)   # sorted above
+            parts, rg_total, rg_kept = _read_chain(entry, keys, target)
+            cur_parts.extend(parts)
+            rg.append((rg_total, rg_total - rg_kept))
+        t0 = _lap(t0, "chain_read")
+        # chain order is kept per bucket, so LWW's position tiebreak (a
+        # later chain file wins an exact tie) holds across the concat
+        cur = pa.concat_tables(cur_parts)
+        cur = cur.take(pa.array(np.sort(lww_indices(cur, key, order))))
+        pos, wins = beats_stored(combined, cur, key, order)
+        have = pos >= 0
+        cur_tomb = np.zeros(len(pos), dtype=bool)
+        if have.any():
+            stored_tomb = pc.fill_null(cur[TOMB_COLUMN], 0).to_numpy(
+                zero_copy_only=False) == 1
+            cur_tomb = have & stored_tomb[np.where(have, pos, 0)]
+        w_tomb = combined[TOMB_COLUMN].to_numpy(zero_copy_only=False) == 1
+        # visible-row accounting: a live winner inserts when the key was
+        # absent OR tombstoned; a tombstone deletes only a live key;
+        # tombstones for absent/already-deleted keys are no-ops (parity
+        # with the compaction path) and are not written.
+        code = np.searchsorted(buckets, cb)
+        nb = len(buckets)
+        inserts = np.bincount(code[wins & ~w_tomb & (~have | cur_tomb)],
+                              minlength=nb)
+        deleted = np.bincount(code[wins & w_tomb & have & ~cur_tomb],
+                              minlength=nb)
+        keep = wins & (~w_tomb | (have & ~cur_tomb))
+        delta_all = combined.filter(pa.array(keep))
+        kcb, kept_tomb = cb[keep], w_tomb[keep]
+        klo = np.searchsorted(kcb, buckets, side="left")
+        khi = np.searchsorted(kcb, buckets, side="right")
+        t0 = _lap(t0, "decide")
+        out = []
+        for j, (bucket, entry) in enumerate(zip(buckets, entries)):
+            deltas = entry.get("deltas", [])
+            if khi[j] == klo[j]:
                 # every change lost to the stored winners: chain unchanged
-                return _lineage_row(bucket, entry["file"], entry.get("deltas", []),
-                                    None, int(entry["rows"]), rows_changed, failed,
-                                    entry["digest"], rg_total=rg_total,
-                                    rg_skipped=rg_total - rg_kept)
-            if (pc.sum(pc.cast(pc.equal(delta[TOMB_COLUMN],
-                                        pa.scalar(1, pa.int8())),
-                               pa.int64())).as_py() or 0) == 0:
+                out.append(_lineage(bucket, entry["file"], deltas, None,
+                                    entry["rows"], changed[j], failed[j],
+                                    entry["digest"], rg_total=rg[j][0],
+                                    rg_skipped=rg[j][1]))
+                continue
+            delta = delta_all.slice(klo[j], khi[j] - klo[j]).drop_columns(
+                ["bucket"])
+            if not kept_tomb[klo[j]:khi[j]].any():
                 # no tombstones -> keep the historical delta file schema
                 delta = delta.drop_columns([TOMB_COLUMN])
-            delta = delta.take(pc.sort_indices(delta, sort_keys=[(key, "ascending")]))
-            rel = sink.write_partition(delta, bucket, epoch, kind="delta")
+            rel = sink.write_partition(delta, int(bucket), epoch, kind="delta")
             digest = digest_of_hashes(delta["content_hash"].to_pylist())
-            return _lineage_row(bucket, entry["file"],
-                                entry.get("deltas", []) + [rel], rel,
-                                int(entry["rows"]) + inserts - dels_applied,
-                                rows_changed, failed, digest, dels_applied,
-                                rg_total=rg_total,
-                                rg_skipped=rg_total - rg_kept)
+            out.append(_lineage(bucket, entry["file"], deltas + [rel], rel,
+                                int(entry["rows"]) + inserts[j] - deleted[j],
+                                changed[j], failed[j], digest, deleted[j],
+                                rg_total=rg[j][0], rg_skipped=rg[j][1]))
+        _lap(t0, "write")
+        return out
 
-        # full-merge path: epoch-0 creation, compaction, partial update,
-        # and mixed per-row modes
+    def _full_merge(bucket, entry, changes, update_part, delete_part, failed,
+                    rows_changed, row_modes) -> dict:
+        """Compaction path for one bucket: full chain merge and rewrite."""
+        t0 = time.perf_counter()
         base = None
-        if chain:
-            base = table.merge_chain([sink.read_partition(p) for p in chain], stored_schema)
+        if entry:
+            chain = [sink.read_partition(p) for p in LakeTable.chain_files(entry)]
+            t0 = _lap(t0, "chain_read")
+            base = table.merge_chain(chain, stored_schema)
         if row_modes:
             # upsert-destined rows first, then the update-tagged rows
             # coalesce onto the result (deterministic rule; per-key order
             # within the epoch was already resolved by LWW)
-            changes = project_to_schema(changes, stored_schema)
-            merged = merge_upsert(base, changes, key, order)
-            if update_part is not None and update_part.num_rows:
+            merged = merge_upsert(base, project_to_schema(changes, stored_schema),
+                                  key, order)
+            if update_part.num_rows:
                 merged, unmatched = merge_update(
                     merged, project_to_schema(update_part, stored_schema),
-                    key, order,
-                )
+                    key, order)
                 failed += unmatched
             merged = project_to_schema(merged, stored_schema)
         elif mode == "upsert":
-            changes = project_to_schema(changes, stored_schema)
-            merged = merge_upsert(base, changes, key, order)
+            merged = merge_upsert(base, project_to_schema(changes, stored_schema),
+                                  key, order)
         else:
             merged, unmatched = merge_update(base, changes, key, order)
             failed += unmatched
             merged = project_to_schema(merged, stored_schema)
         rows_deleted = 0
-        if delete_part is not None and delete_part.num_rows:
+        if delete_part.num_rows:
             # rank delete events against the surviving winners: concat with
             # an _op tag, per-key LWW under the same total order, and drop
             # keys whose winner is a delete. Absent-key deletes are no-ops
@@ -691,15 +682,222 @@ def make_bucket_merger(table: LakeTable, epoch: int, live: dict[int, dict],
         if merged.num_rows == 0 and base is None:
             # bucket touched only by dead-letter skeletons / no-op deletes:
             # keep no file, report the failures
-            return _lineage_row(bucket, None, [], None, 0, rows_changed,
-                                failed, "", rows_deleted)
+            _lap(t0, "decide")
+            return _lineage(bucket, None, [], None, 0, rows_changed, failed,
+                            "", rows_deleted)
         merged = merged.take(pc.sort_indices(merged, sort_keys=[(key, "ascending")]))
+        t0 = _lap(t0, "decide")
         rel = sink.write_partition(merged, bucket, epoch)
         digest = digest_of_hashes(merged["content_hash"].to_pylist())
-        return _lineage_row(bucket, rel, [], rel, merged.num_rows, rows_changed,
-                            failed, digest, rows_deleted)
+        _lap(t0, "write")
+        return _lineage(bucket, rel, [], rel, merged.num_rows, rows_changed,
+                        failed, digest, rows_deleted)
 
-    return merge_bucket
+    def merge_buckets(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return LINEAGE_SCHEMA.empty_table()
+        t0 = time.perf_counter()
+        b = t["bucket"].to_numpy(zero_copy_only=False)
+        if (np.diff(b) < 0).any():
+            # group each bucket's rows, input order kept within a bucket
+            # (LWW breaks exact ties by position)
+            idx = np.argsort(b, kind="stable")
+            t, b = t.take(pa.array(idx)), b[idx]
+        t = t.drop_columns(["bucket"])
+        buckets, starts, codes = np.unique(b, return_index=True,
+                                           return_inverse=True)
+        bounds = np.r_[starts, len(b)]
+        n = t.num_rows
+        ok = np.ones(n, dtype=bool)
+        failed = np.zeros(n, dtype=bool)
+        if "_dead" in t.column_names:
+            dead = pc.equal(t["_dead"], pa.scalar(1, pa.int8()))
+            failed |= _mask(dead)
+            ok &= _mask(pc.invert(dead))
+            t = t.drop_columns(["_dead"])
+        # per-row op directive: delete events rank against the surviving
+        # winner by the same (warc_ts, offset) order; unknown ops
+        # dead-letter (counted failed), like any bad record
+        is_del = np.zeros(n, dtype=bool)
+        if OP_COLUMN in t.column_names:
+            ocol = pc.fill_null(pc.cast(t[OP_COLUMN], pa.string()), "")
+            known = _mask(pc.is_in(ocol, pa.array(["delete", "upsert", ""])))
+            failed |= ok & ~known
+            ok &= known
+            is_del = ok & _mask(pc.equal(ocol, "delete"))
+            t = t.drop_columns([OP_COLUMN])
+        # per-row mode directive (DynamicWriters at row granularity) on the
+        # non-delete rows: explicit 'update'/'upsert' wins, null/'' follows
+        # the epoch default; unknown directives dead-letter
+        is_upd = np.zeros(n, dtype=bool)
+        row_modes = MODE_COLUMN in t.column_names
+        if row_modes:
+            mcol = pc.fill_null(pc.cast(t[MODE_COLUMN], pa.string()), "")
+            dflt = _mask(pc.equal(mcol, ""))
+            upd = _mask(pc.equal(mcol, "update"))
+            bad = ok & ~is_del & ~_mask(
+                pc.is_in(mcol, pa.array(["update", "upsert", ""])))
+            failed |= bad
+            ok &= ~bad
+            if mode == "update":
+                upd |= dflt
+            is_upd = ok & ~is_del & upd
+            t = t.drop_columns([MODE_COLUMN])
+        is_ch = ok & ~is_del & ~is_upd
+
+        nb = len(buckets)
+        n_failed, n_ch, n_upd, n_del = (np.bincount(codes[m], minlength=nb)
+                                        for m in (failed, is_ch, is_upd, is_del))
+        changed = n_ch + n_upd + n_del
+        live_now = ray.get(live_ref)
+        entries = [live_now.get(int(bk)) for bk in buckets]
+        use_delta = np.array([
+            mode == "upsert" and n_upd[i] == 0 and e is not None
+            and changed[i] > 0 and len(e.get("deltas", [])) < max_deltas
+            for i, e in enumerate(entries)], dtype=bool)
+        _lap(t0, "filter")
+
+        out = []
+        if use_delta.any():
+            d = np.flatnonzero(use_delta)
+            in_delta = use_delta[codes]
+            out.extend(_delta_merge(
+                t, b, is_ch & in_delta, is_del & in_delta, buckets[d],
+                [entries[i] for i in d], n_failed[d], changed[d]))
+        # full-merge path: creation, compaction, partial update, and
+        # update-tagged per-row modes
+        for i in np.flatnonzero(~use_delta):
+            s0, s1 = int(bounds[i]), int(bounds[i + 1])
+            part = t.slice(s0, s1 - s0)
+            out.append(_full_merge(
+                int(buckets[i]), entries[i],
+                part.filter(pa.array(is_ch[s0:s1])),
+                part.filter(pa.array(is_upd[s0:s1])),
+                part.filter(pa.array(is_del[s0:s1])),
+                int(n_failed[i]), int(changed[i]), row_modes))
+        t0 = time.perf_counter()
+        out.sort(key=lambda r: r["bucket"])
+        lineage = pa.Table.from_pylist(out, schema=LINEAGE_SCHEMA)
+        _lap(t0, "lineage")
+        return lineage
+
+    return merge_buckets
+
+
+_TASKS: dict = {}
+
+
+def _task(fn):
+    """Process-wide Ray task for the module-level function ``fn``, defined
+    ONCE and cached. Defining a fresh ``@ray.remote`` per call exports a new
+    pickled function definition to the cluster each time — a function-table
+    entry that is never removed, so a long-running tailer would grow
+    cluster metadata without bound. Per-epoch state (the merger, the
+    convert fn) rides as a task ARGUMENT instead."""
+    t = _TASKS.get(fn)
+    if t is None:
+        import ray
+
+        t = _TASKS[fn] = ray.remote(fn)
+    return t
+
+
+def _merge_parts(merger, *parts: pa.Table) -> pa.Table:
+    """Merge task shared by the tiny, split and late exchanges: one merger
+    call over the concatenation of this task's parts (deterministic part
+    order), however many buckets they span.
+
+    The exchange tasks take their input blocks as top-level arguments, so
+    Ray starts a task only once its inputs exist. A task that waits in
+    ``ray.get`` instead hands its CPU slot to another task, which may
+    start an extra worker process; on one CPU, runs that had gained a
+    third worker took 2.8-3.7 s per 36k-event catch-up drain instead of
+    1.1-1.5 s."""
+    tables = [t for t in parts if t.num_rows]
+    if not tables:
+        return LINEAGE_SCHEMA.empty_table()
+    return merger(pa.concat_tables(tables))
+
+
+def _late_split_keys(block: pa.Table, block_id: int, key: str,
+                     order: list[str]) -> pa.Table:
+    """Late round 1: the block's bucket-sorted KEY table."""
+    import numpy as np
+
+    kt = block.select([key] + order + ["bucket", "_dead"])
+    kt = kt.append_column(
+        "_block", pa.array(np.full(block.num_rows, block_id, dtype=np.int32)))
+    kt = kt.append_column(
+        "_row", pa.array(np.arange(block.num_rows, dtype=np.int32)))
+    buckets = kt["bucket"].to_numpy(zero_copy_only=False)
+    return kt.take(pa.array(np.argsort(buckets, kind="stable")))
+
+
+def _late_select_winners(bucket: int, key: str, order: list[str],
+                         *key_tables: pa.Table) -> pa.Table | None:
+    """Late round 2: keys-only LWW for one bucket -> winning
+    ``(_block, _row, bucket)`` ids (dead skeletons ride along to be
+    counted by the merge)."""
+    import numpy as np
+
+    from geomesa_nifi_ray.upsert import lww_indices
+
+    parts = []
+    for p in key_tables:
+        bl = p["bucket"].to_numpy(zero_copy_only=False)
+        lo = int(np.searchsorted(bl, bucket, side="left"))
+        hi = int(np.searchsorted(bl, bucket, side="right"))
+        if hi > lo:
+            parts.append(p.slice(lo, hi - lo))
+    if not parts:
+        return None
+    kt = pa.concat_tables(parts)
+    dead_mask = pc.equal(kt["_dead"], pa.scalar(1, pa.int8()))
+    good = kt.filter(pc.invert(dead_mask))
+    dead = kt.filter(dead_mask)
+    wanted = []
+    if good.num_rows:
+        win = lww_indices(good, key, order)
+        wanted.append(good.take(pa.array(np.sort(win))))
+    if dead.num_rows:
+        wanted.append(dead)
+    sel = pa.concat_tables(wanted).select(["_block", "_row"])
+    return sel.append_column(
+        "bucket", pa.array(np.full(sel.num_rows, bucket, dtype=np.int32)))
+
+
+def _late_extract_block(block: pa.Table, block_id: int, groups: int,
+                        num_buckets: int, *winners: pa.Table | None):
+    """Late round 3a, node-local: take this block's winning rows (across
+    all buckets) in one pass, sorted by (bucket, _row), and pre-split them
+    into ``groups`` bucket-range parts for targeted fetch."""
+    import numpy as np
+
+    picks = []
+    for w in winners:
+        if w is None:
+            continue
+        m = w["_block"].to_numpy(zero_copy_only=False) == block_id
+        if m.any():
+            picks.append(pa.table({"_row": w["_row"].filter(pa.array(m)),
+                                   "b": w["bucket"].filter(pa.array(m))}))
+    if not picks:
+        empty = block.schema.empty_table()
+        return tuple([empty] * groups) if groups > 1 else empty
+    sel = pa.concat_tables(picks)
+    rows = sel["_row"].to_numpy(zero_copy_only=False)
+    bks = sel["b"].to_numpy(zero_copy_only=False)
+    o = np.lexsort((rows, bks))
+    extracted = block.take(pa.array(rows[o]))
+    if groups == 1:
+        return extracted
+    gs = (bks[o].astype(np.int64) * groups) // num_buckets
+    outs = []
+    for gi in range(groups):
+        lo = int(np.searchsorted(gs, gi, side="left"))
+        hi = int(np.searchsorted(gs, gi, side="right"))
+        outs.append(extracted.slice(lo, hi - lo))
+    return tuple(outs)
 
 
 def run_late_exchange(converted_mat, merge_bucket, key: str, order: list[str],
@@ -720,8 +918,9 @@ def run_late_exchange(converted_mat, merge_bucket, key: str, order: list[str],
          ``(_block, _row, bucket)`` ids. Only keys ever cross nodes here.
       3. **extract + merge** — one task per BLOCK takes its own winners out
          (runs node-local: Ray schedules it where the block lives, so the
-         payload never moves whole); one task per bucket concatenates the
-         winner-row slices (tiny) and runs the normal per-bucket merge.
+         payload never moves whole) and pre-splits them into EG bucket-range
+         parts; one task per bucket-range group concatenates its parts
+         (tiny) and makes one batched merger call over all its buckets.
 
     Cluster network traffic = O(keys) + O(winner payloads) — proportional
     to the deduped output, not the input. (An earlier 2-round version had
@@ -733,60 +932,14 @@ def run_late_exchange(converted_mat, merge_bucket, key: str, order: list[str],
     function of the deterministic block list, and writes stay
     deterministic tmp+rename.
     """
-    import numpy as np
     import ray
 
     refs = converted_mat.to_arrow_refs()
-
-    @ray.remote
-    def split_keys(block: pa.Table, block_id: int) -> pa.Table:
-        cols = [key] + order + ["bucket", "_dead"]
-        kt = block.select(cols)
-        kt = kt.append_column(
-            "_block", pa.array(np.full(block.num_rows, block_id, dtype=np.int32))
-        )
-        kt = kt.append_column(
-            "_row", pa.array(np.arange(block.num_rows, dtype=np.int32))
-        )
-        buckets = kt["bucket"].to_numpy(zero_copy_only=False)
-        idx = np.argsort(buckets, kind="stable")
-        return kt.take(pa.array(idx))
-
-    slices = [split_keys.remote(r, i) for i, r in enumerate(refs)]
-
-    @ray.remote
-    def select_winners(bucket: int, key_table_refs) -> pa.Table | None:
-        """Keys-only LWW for one bucket -> winning (_block, _row) ids."""
-        from geomesa_nifi_ray.upsert import lww_indices
-
-        import numpy as np
-        import ray as _ray
-
-        parts = []
-        for p in _ray.get(list(key_table_refs)):
-            bl = p["bucket"].to_numpy(zero_copy_only=False)
-            lo = int(np.searchsorted(bl, bucket, side="left"))
-            hi = int(np.searchsorted(bl, bucket, side="right"))
-            if hi > lo:
-                parts.append(p.slice(lo, hi - lo))
-        if not parts:
-            return None
-        kt = pa.concat_tables(parts)
-        dead_mask = pc.equal(kt["_dead"], pa.scalar(1, pa.int8()))
-        good = kt.filter(pc.invert(dead_mask))
-        dead = kt.filter(dead_mask)
-        wanted = []
-        if good.num_rows:
-            win = lww_indices(good, key, order)
-            wanted.append(good.take(pa.array(np.sort(win))))
-        if dead.num_rows:
-            wanted.append(dead)                   # dead skeletons: counted by merge
-        sel = pa.concat_tables(wanted).select(["_block", "_row"])
-        return sel.append_column(
-            "bucket", pa.array(np.full(sel.num_rows, bucket, dtype=np.int32))
-        )
-
-    winner_ids = [select_winners.remote(b, slices) for b in range(num_buckets)]
+    order = list(order)
+    slices = [_task(_late_split_keys).remote(r, i, key, order)
+              for i, r in enumerate(refs)]
+    winner_ids = [_task(_late_select_winners).remote(b, key, order, *slices)
+                  for b in range(num_buckets)]
 
     # Bucket-range pre-split of the extract outputs: each block's winner
     # payloads come back as EG parts (one per bucket-range group), so a
@@ -794,77 +947,20 @@ def run_late_exchange(converted_mat, merge_bucket, key: str, order: list[str],
     # O(winner bytes), not O(winner bytes x nodes) (without the split,
     # every node hosting merges pulls every extract object once).
     EG = max(1, min(16, num_buckets))
-
-    @ray.remote
-    def extract_block(block: pa.Table, block_id: int, winner_refs):
-        """Node-local payload extraction: take this block's winning rows
-        (across all buckets) in one pass, sorted by (bucket, _row), and
-        pre-split into EG bucket-range parts for targeted fetch."""
-        import numpy as np
-        import ray as _ray
-
-        picks = []
-        for w in _ray.get(list(winner_refs)):
-            if w is None:
-                continue
-            wb = w["_block"].to_numpy(zero_copy_only=False)
-            m = wb == block_id
-            if m.any():
-                picks.append(
-                    pa.table({"_row": w["_row"].filter(pa.array(m)),
-                              "b": w["bucket"].filter(pa.array(m))})
-                )
-        if not picks:
-            empty = block.schema.empty_table()
-            return tuple([empty] * EG) if EG > 1 else empty
-        sel = pa.concat_tables(picks)
-        rows = sel["_row"].to_numpy(zero_copy_only=False)
-        bks = sel["b"].to_numpy(zero_copy_only=False)
-        o = np.lexsort((rows, bks))
-        extracted = block.take(pa.array(rows[o]))
-        if EG == 1:
-            return extracted
-        gs = (bks[o].astype(np.int64) * EG) // num_buckets
-        outs = []
-        for gi in range(EG):
-            lo = int(np.searchsorted(gs, gi, side="left"))
-            hi = int(np.searchsorted(gs, gi, side="right"))
-            outs.append(extracted.slice(lo, hi - lo))
-        return tuple(outs)
-
+    extract = _task(_late_extract_block)
     extracts = [
-        extract_block.options(num_returns=EG).remote(r, i, winner_ids)
-        if EG > 1 else [extract_block.remote(r, i, winner_ids)]
+        extract.options(num_returns=EG).remote(r, i, EG, num_buckets, *winner_ids)
+        if EG > 1 else [extract.remote(r, i, EG, num_buckets, *winner_ids)]
         for i, r in enumerate(refs)
     ]
-
-    @ray.remote
-    def merge_task(bucket: int, extract_refs):
-        import numpy as np
-        import ray as _ray
-
-        parts = []
-        for p in _ray.get(list(extract_refs)):   # this group's winner payloads
-            if p.num_rows == 0:
-                continue
-            bl = p["bucket"].to_numpy(zero_copy_only=False)
-            lo = int(np.searchsorted(bl, bucket, side="left"))
-            hi = int(np.searchsorted(bl, bucket, side="right"))
-            if hi > lo:
-                parts.append(p.slice(lo, hi - lo))
-        if not parts:
-            return None
-        return merge_bucket(pa.concat_tables(parts))
-
-    per_bucket = [
-        merge_task.remote(b, [extracts[i][(b * EG) // num_buckets]
-                              for i in range(len(extracts))])
-        for b in range(num_buckets)
+    merger_ref = ray.put(merge_bucket)
+    per_group = [
+        _task(_merge_parts).remote(merger_ref, *[parts[gi] for parts in extracts])
+        for gi in range(EG)
     ]
     out = []
-    for r in ray.get(per_bucket):
-        if r is not None:
-            out.extend(r.to_pylist())
+    for r in ray.get(per_group):
+        out.extend(r.to_pylist())
 
     if os.environ.get("GRAFT_EXCHANGE_STATS"):
         # Byte/locality accounting for the multi-node rehearsal
@@ -917,24 +1013,6 @@ def _alive_node_count() -> int:
         return len([n for n in ray.nodes() if n.get("Alive")])
     except Exception:
         return 1
-
-
-def merge_bucket_runs(t: pa.Table, merge_fn) -> pa.Table:
-    """Stable-sort a mixed-bucket table by its ``bucket`` column and apply
-    ``merge_fn`` to each contiguous bucket run, concatenating the outputs.
-    The shared tail of every exchange strategy's merge task (tiny, split
-    one-wave, split two-wave). Caller guards the empty-input case."""
-    import numpy as np
-
-    b = t["bucket"].to_numpy(zero_copy_only=False)
-    idx = np.argsort(b, kind="stable")
-    t = t.take(pa.array(idx))
-    bs = b[idx]
-    bounds = np.flatnonzero(np.r_[True, bs[1:] != bs[:-1], True])
-    return pa.concat_tables([
-        merge_fn(t.slice(s0, s1 - s0))
-        for s0, s1 in zip(bounds[:-1], bounds[1:])
-    ])
 
 
 class RefBlocks:
@@ -1033,6 +1111,43 @@ def _convert_file(path: str, convert_fn, batch_size: int) -> pa.Table:
     return pa.concat_tables(outs) if outs else convert_fn(t.slice(0, 0))
 
 
+def _merge_group_direct(merger, gi: int, groups: int, num_buckets: int,
+                        *blocks: pa.Table) -> pa.Table:
+    """Single-node split exchange: slice group ``gi``'s bucket range out of
+    every shared plasma block and merge it in one call."""
+    import numpy as np
+
+    parts = []
+    for blk in blocks:
+        if blk.num_rows == 0:
+            continue
+        b = blk["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
+        m = (b * groups) // num_buckets == gi
+        if m.any():
+            parts.append(blk.filter(pa.array(m)))
+    if not parts:
+        return LINEAGE_SCHEMA.empty_table()
+    return merger(pa.concat_tables(parts))
+
+
+def _split_block(block: pa.Table, groups: int, num_buckets: int):
+    """Two-wave split exchange, wave 1: one block -> ``groups``
+    bucket-range parts."""
+    import numpy as np
+
+    b = block["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
+    g = (b * groups) // num_buckets
+    idx = np.argsort(g, kind="stable")
+    sb = block.take(pa.array(idx))
+    gs = g[idx]
+    outs = []
+    for gi in range(groups):
+        lo = int(np.searchsorted(gs, gi, side="left"))
+        hi = int(np.searchsorted(gs, gi, side="right"))
+        outs.append(sb.slice(lo, hi - lo))
+    return tuple(outs) if groups > 1 else outs[0]
+
+
 def run_split_exchange(converted_mat, merge_bucket, num_buckets: int,
                        num_groups: int = 16) -> list[dict]:
     """Two-wave manual hash exchange for small/mid epochs — the band between
@@ -1044,107 +1159,41 @@ def run_split_exchange(converted_mat, merge_bucket, num_buckets: int,
     just two raw task waves: (1) one task per converted block splits it into
     ``G`` bucket-range parts (one object each — blocks x G small objects);
     (2) one task per group concatenates its parts in deterministic block
-    order, groups by bucket in-memory and runs the per-bucket merges
-    serially (the tiny-epoch ``merge_all`` generalized to G-way
-    parallelism). Moves the same post-combiner bytes as the sort exchange —
+    order and hands the whole multi-bucket table to ONE merger call (see
+    :func:`make_bucket_merger`), the tiny-epoch merge generalized to G-way
+    parallelism. Moves the same post-combiner bytes as the sort exchange —
     co-location by key, no sort, no Dataset barrier. Results are identical:
-    LWW inside the merger is a pure function of the row multiset.
+    LWW inside the merger is a pure function of the row multiset. The tasks
+    are module-level (:func:`_task`); the merger rides as an argument.
     """
-    import numpy as np
     import ray
 
     refs = (list(converted_mat.refs) if isinstance(converted_mat, RefBlocks)
             else converted_mat.to_arrow_refs())
     G = max(1, min(num_groups, num_buckets))
+    merger_ref = ray.put(merge_bucket)
 
-    single_node = _alive_node_count() <= 1
-    if single_node:
+    if _alive_node_count() <= 1:
         # One wave: every group task maps the SAME plasma blocks (shared
         # memory, zero-copy on one node) and slices out its bucket range —
         # no intermediate split objects at all. Multi-node this would pull
         # every block to every group (input x G network), so the two-wave
         # split below is the cluster path.
-        @ray.remote
-        def merge_group_direct(gi, block_refs):
-            import numpy as _np
-            import ray as _ray
-
-            parts = []
-            for blk in _ray.get(list(block_refs)):
-                if blk.num_rows == 0:
-                    continue
-                b = blk["bucket"].to_numpy(zero_copy_only=False).astype(_np.int64)
-                m = (b * G) // num_buckets == gi
-                if m.any():
-                    parts.append(blk.filter(pa.array(m)))
-            if not parts:
-                return None
-            return merge_bucket_runs(pa.concat_tables(parts), merge_bucket)
-
-        results = ray.get([merge_group_direct.remote(gi, refs) for gi in range(G)])
-        out = []
-        for r in results:
-            if r is not None:
-                out.extend(r.to_pylist())
-        return out
-
-    @ray.remote
-    def split(block: pa.Table):
-        b = block["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
-        g = (b * G) // num_buckets
-        idx = np.argsort(g, kind="stable")
-        sb = block.take(pa.array(idx))
-        gs = g[idx]
-        outs = []
-        for gi in range(G):
-            lo = int(np.searchsorted(gs, gi, side="left"))
-            hi = int(np.searchsorted(gs, gi, side="right"))
-            outs.append(sb.slice(lo, hi - lo))
-        return tuple(outs) if G > 1 else outs[0]
-
-    parts = [split.options(num_returns=G).remote(r) if G > 1
-             else [split.remote(r)] for r in refs]
-
-    @ray.remote
-    def merge_group(part_refs):
-        import ray as _ray
-
-        tables = [t for t in _ray.get(list(part_refs)) if t.num_rows]
-        if not tables:
-            return None
-        return merge_bucket_runs(pa.concat_tables(tables), merge_bucket)
-
-    results = ray.get([
-        merge_group.remote([parts[i][gi] for i in range(len(parts))])
-        for gi in range(G)
-    ])
+        results = ray.get([
+            _task(_merge_group_direct).remote(merger_ref, gi, G, num_buckets,
+                                              *refs)
+            for gi in range(G)])
+    else:
+        split = _task(_split_block)
+        parts = [split.options(num_returns=G).remote(r, G, num_buckets)
+                 if G > 1 else [split.remote(r, G, num_buckets)] for r in refs]
+        results = ray.get([
+            _task(_merge_parts).remote(merger_ref, *[p[gi] for p in parts])
+            for gi in range(G)])
     out = []
     for r in results:
-        if r is not None:
-            out.extend(r.to_pylist())
+        out.extend(r.to_pylist())
     return out
-
-
-_MERGE_ALL_REFS_TASK = None
-
-
-def _merge_all_refs_task():
-    """Process-wide remote task for the tiny-epoch RefBlocks merge. Defined
-    ONCE and cached: defining a fresh ``@ray.remote`` inside apply_epoch
-    would export a new pickled function definition to the cluster per
-    EPOCH — unbounded GCS metadata growth for a long-running tailer. The
-    per-epoch merger rides as a task ARGUMENT instead (same bytes on the
-    wire, no function-table growth)."""
-    global _MERGE_ALL_REFS_TASK
-    if _MERGE_ALL_REFS_TASK is None:
-        import ray as _ray
-
-        @_ray.remote
-        def _merge_all_refs(merge_fn, refs):
-            return merge_fn(pa.concat_tables(_ray.get(list(refs))))
-
-        _MERGE_ALL_REFS_TASK = _merge_all_refs
-    return _MERGE_ALL_REFS_TASK
 
 
 class CDCEngine:
@@ -1522,28 +1571,19 @@ class CDCEngine:
         if tiny_epoch and exchange is None and not salted_reduce:
             # Steady-state tail epochs are small; Ray's sort shuffle has ~1 s
             # of fixed machinery that dwarfs the work. One task takes the
-            # whole (tiny) epoch, groups by bucket in-memory and runs the
-            # same per-bucket merges serially — identical results, minimal
-            # latency per commit.
-            def merge_all(t: pa.Table) -> pa.Table:
-                if t.num_rows == 0:
-                    return pa.table({})
-                return merge_bucket_runs(t, merger)
-
+            # whole (tiny) epoch and decides all its buckets in one merger
+            # call — identical results, minimal latency per commit.
             if isinstance(converted, RefBlocks):
                 import ray as _ray
 
-                task = _merge_all_refs_task()
-                res = (_ray.get(task.remote(merge_all, converted.refs))
-                       if converted.refs else pa.table({}))
-                lineage = [r for r in res.to_pylist()
-                           if r.get("bucket") is not None]
+                res = _ray.get(_task(_merge_parts).remote(merger, *converted.refs))
+                lineage = res.to_pylist()
                 self.last_stats = None
             else:
                 lineage_ds = converted.repartition(1).map_batches(
-                    merge_all, batch_format="pyarrow", batch_size=None
+                    merger, batch_format="pyarrow", batch_size=None
                 )
-                lineage = [r for r in lineage_ds.take_all() if r.get("bucket") is not None]
+                lineage = lineage_ds.take_all()
                 self.last_stats = lineage_ds.stats()
         elif split_epoch:
             if isinstance(converted, RefBlocks):
@@ -1572,6 +1612,17 @@ class CDCEngine:
             lineage = lineage_ds.take_all()  # one small row per touched bucket
             self.last_stats = lineage_ds.stats()  # per-stage wall/cpu breakdown
 
+        return self._commit_lineage(epoch, live, lineage, rows_in, mode,
+                                    offset_range, epochs_covered)
+
+    def _commit_lineage(self, epoch: int, live: dict[int, dict],
+                        lineage: list[dict], rows_in: int, mode: str,
+                        offset_range: tuple[int, int] | None,
+                        epochs_covered: tuple[int, int] | None,
+                        ) -> EpochResult:
+        """Commit one epoch from its merge lineage (one row per touched
+        bucket, :data:`LINEAGE_SCHEMA`): touched buckets take their new
+        entries, untouched live buckets are carried forward."""
         import json as _json
 
         touched = {r["bucket"]: r for r in lineage}
@@ -1605,9 +1656,9 @@ class CDCEngine:
         # duplicates collapsed by LWW are neither (rows_collapsed)
         rows_applied = sum(int(r["rows_changed"]) for r in touched.values())
         rows_failed = sum(int(r["rows_failed"]) for r in touched.values())
-        rows_deleted = sum(int(r.get("rows_deleted", 0) or 0) for r in touched.values())
-        rg_total = sum(int(r.get("rg_total", 0) or 0) for r in touched.values())
-        rg_skipped = sum(int(r.get("rg_skipped", 0) or 0) for r in touched.values())
+        rows_deleted = sum(int(r["rows_deleted"]) for r in touched.values())
+        rg_total = sum(int(r["rg_total"]) for r in touched.values())
+        rg_skipped = sum(int(r["rg_skipped"]) for r in touched.values())
         rows_collapsed = max(0, rows_in - rows_applied - rows_failed)
         if offset_range is None:
             offset_range = (-1, -1)
@@ -2216,7 +2267,7 @@ class CDCEngine:
         if use_tasks:
             import ray
 
-            convert_task = ray.remote(_convert_file)
+            convert_task = _task(_convert_file)
 
             def _submit(j: int) -> None:
                 if j >= len(groups) or j in refs_by_group:
@@ -2465,7 +2516,7 @@ class CDCEngine:
         on the same ``batch_size`` row slices)."""
         import ray
 
-        convert_task = ray.remote(_convert_file)
+        convert_task = _task(_convert_file)
         epoch_refs: dict[int, list] = {}
 
         def submit(j: int) -> None:
@@ -2541,10 +2592,11 @@ class CDCEngine:
         files into a hidden tmp dir, then one ``os.rename`` to the final
         ``epoch-NNNNN`` name): an epoch is committed as soon as it is seen,
         and part files that appear in an already-committed epoch dir are
-        skipped forever (``epoch <= committed`` filter). Producers that
-        cannot rename atomically should instead write a ``_SUCCESS`` marker
-        as their last file and run the tailer with ``require_marker=True``,
-        which ignores epoch dirs until the marker exists.
+        skipped forever (the tailer's offset cursor has passed them).
+        Producers that cannot rename atomically should instead write a
+        ``_SUCCESS`` marker as their last file and run the tailer with
+        ``require_marker=True``, which ignores epoch dirs until the marker
+        exists.
 
         Delegates to :class:`~geomesa_nifi_ray.sources.spi.
         FilesystemEpochSource` — the default ``Source`` implementation."""
@@ -2592,10 +2644,12 @@ class CDCEngine:
 
         results: list[EpochResult] = []
         idle = 0
-        # offset-cursor sources (needs_cursor = True, e.g. the message-bus
-        # AppendLogBusSource) have no producer-side epochs: they form
-        # batches from records strictly after the lake's committed
-        # offset_max — offsets, not directory names, are the resume cursor
+        # offset-cursor sources (needs_cursor = True: the filesystem source
+        # and the message-bus AppendLogBusSource) report only what lies
+        # strictly after the lake's committed offset_max, numbered from the
+        # committed epoch + 1 — offsets, not directory names, are the
+        # resume cursor, so a maintenance epoch (delete_keys, rewrite,
+        # clear) cannot shadow the producer epoch that shares its number
         needs_cursor = bool(getattr(source, "needs_cursor", False))
         while idle < max_idle_polls:
             if needs_cursor:

@@ -16,7 +16,8 @@ Two built-ins:
 - :class:`FilesystemEpochSource` — the default: epoch directories of
   parquet dropped into a watched dir (atomic rename or ``_SUCCESS``
   marker publish). ``read`` returns file paths so the engine's
-  footer-statistics / rows-hint / catch-up-grouping fast paths all apply.
+  footer-statistics / rows-hint / catch-up-grouping fast paths all apply;
+  the lake's committed offset decides which directories are pending.
 - :class:`SqliteBinlogSource` — an append-only log TABLE (a stand-in for
   any message bus / WAL a real deployment would tail): producers append
   rows + publish the epoch row in one transaction, readers see epochs
@@ -55,7 +56,10 @@ class Source(Protocol):
     Descriptors must be stable across polls (same epoch -> same content):
     an epoch is immutable once published, exactly like a closed Kafka
     batch. Sources hold no consumer state — the caller filters by its own
-    committed cursor."""
+    committed cursor, or, for a source that sets ``needs_cursor = True``,
+    passes it: ``poll_epochs(cursor={"epoch": committed epoch, "offset":
+    committed offset})`` returns only the pending epochs, numbered from
+    the committed epoch + 1."""
 
     def poll_epochs(self) -> list[dict]:
         """All currently published epochs, ascending by epoch."""
@@ -72,16 +76,23 @@ class FilesystemEpochSource:
     the engine's original hardcoded tailer target, now behind the SPI.
     Producers publish atomically (tmp dir + one rename), or write a
     ``_SUCCESS`` marker last and set ``require_marker=True``
-    (``CDCEngine.discover_epochs`` documents the contract)."""
+    (``CDCEngine.discover_epochs`` documents the contract).
+
+    The tailer passes the lake's cursor (``needs_cursor = True``): offsets,
+    not directory names, decide what is pending, because maintenance
+    epochs (``delete_keys``, rewrites, clears) take lake epoch numbers that
+    the producer's directories know nothing about."""
+
+    needs_cursor = True
 
     def __init__(self, binlog_dir: str, require_marker: bool = False):
         self.binlog_dir = binlog_dir
         self.require_marker = require_marker
 
-    def poll_epochs(self) -> list[dict]:
+    def _published(self) -> list[tuple[int, str, list[str]]]:
+        """``(epoch, dir, part files)`` of every published epoch directory,
+        ascending — a directory listing, no footer reads."""
         import glob as _glob
-
-        import pyarrow.parquet as pq
 
         out = []
         for d in sorted(_glob.glob(os.path.join(self.binlog_dir, "epoch-*"))):
@@ -91,29 +102,67 @@ class FilesystemEpochSource:
                 os.path.join(d, "_SUCCESS")
             ):
                 continue
-            epoch = int(os.path.basename(d).split("-")[1])
             files = sorted(_glob.glob(os.path.join(d, "*.parquet")))
-            if not files:
-                continue
-            lo, hi = None, None
-            for f in files:
-                md = pq.ParquetFile(f).metadata
-                idx = md.schema.to_arrow_schema().get_field_index("offset")
-                for rg in range(md.num_row_groups):
-                    st = md.row_group(rg).column(idx).statistics
-                    if st is not None and st.has_min_max:
-                        lo = st.min if lo is None else min(lo, st.min)
-                        hi = st.max if hi is None else max(hi, st.max)
-            out.append(
-                {
-                    "epoch": epoch,
-                    "path": d,
-                    "files": files,
-                    "offset_min": -1 if lo is None else int(lo),
-                    "offset_max": -1 if hi is None else int(hi),
-                }
-            )
+            if files:
+                out.append((int(os.path.basename(d).split("-")[1]), d, files))
         return out
+
+    @staticmethod
+    def _describe(epoch: int, d: str, files: list[str]) -> dict:
+        """Descriptor of one epoch directory; the offset range comes from
+        the parquet footers' ``offset`` statistics (-1 when absent)."""
+        import pyarrow.parquet as pq
+
+        lo, hi = None, None
+        for f in files:
+            md = pq.ParquetFile(f).metadata
+            idx = md.schema.to_arrow_schema().get_field_index("offset")
+            for rg in range(md.num_row_groups):
+                st = md.row_group(rg).column(idx).statistics
+                if st is not None and st.has_min_max:
+                    lo = st.min if lo is None else min(lo, st.min)
+                    hi = st.max if hi is None else max(hi, st.max)
+        return {
+            "epoch": epoch,
+            "path": d,
+            "files": files,
+            "offset_min": -1 if lo is None else int(lo),
+            "offset_max": -1 if hi is None else int(hi),
+        }
+
+    def poll_epochs(self, cursor: dict | None = None) -> list[dict]:
+        """Published epochs, ascending. Without ``cursor``: every epoch
+        directory, numbered by its name.
+
+        With the lake's ``cursor = {"epoch": committed epoch, "offset":
+        committed offset}``: only the pending ones, numbered from
+        ``epoch + 1``. A directory is pending when its ``offset_min`` is
+        above the committed offset; one without offset statistics falls
+        back to its name (pending when numbered above the committed
+        epoch). Footers are read newest-first and the scan stops at the
+        first directory that is not pending — offsets grow with the
+        directory names, so everything older was applied too, and a poll
+        reads O(new epochs) footers however long the history is."""
+        dirs = self._published()
+        if cursor is None:
+            return [self._describe(*x) for x in dirs]
+        after = cursor.get("offset")
+        after = -1 if after is None else int(after)
+        last = cursor.get("epoch")
+        pending = []
+        for x in reversed(dirs):
+            desc = self._describe(*x)
+            if desc["offset_min"] >= 0:
+                if desc["offset_min"] <= after:
+                    break
+            elif last is not None and desc["epoch"] <= int(last):
+                break
+            pending.append(desc)
+        first = 0 if last is None else int(last) + 1
+        pending.reverse()
+        for i, desc in enumerate(pending):
+            desc["epoch"] = first + i
+        return pending
 
     def read(self, descriptor: dict):
         return descriptor["files"]

@@ -5,7 +5,7 @@ behavior it re-expresses):
 
 - convert kernel + schema adapter: :mod:`geomesa_nifi_ray.engine`
   (``make_convert_fn``), :mod:`geomesa_nifi_ray.schema`
-- per-bucket upsert/update merge: :mod:`geomesa_nifi_ray.engine`
+- batched bucket upsert/update merge: :mod:`geomesa_nifi_ray.engine`
   (``make_bucket_merger``), kernels in :mod:`geomesa_nifi_ray.upsert`
 - dedup stages: :mod:`geomesa_nifi_ray.dedup`
 - text analysis: :mod:`geomesa_nifi_ray.textstats`

@@ -72,26 +72,38 @@ def _order_arrays(table: pa.Table, order: list[str]) -> list[np.ndarray]:
     return out
 
 
-def _fill_order_lose(s) -> np.ndarray:
-    """Pandas-side twin of :func:`_order_arrays`: fill a joined order
-    column's nulls so they LOSE to every real value and tie with each
-    other — object dtype -> "", datetime -> Timestamp.min, numeric (ints
-    upcast to float by a left join's NaN) -> -inf. Keeps the delta-merge
-    ``lex_ge`` verdict identical to the full-merge ``np.lexsort`` verdict
-    for null order values on either side of the join."""
-    if not s.isna().any():
-        return s.to_numpy()
-    if s.dtype == object:
-        return s.fillna("").to_numpy()
-    import pandas as pd
+def beats_stored(changes: pa.Table, stored: pa.Table, key: str,
+                 order: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Join change rows to the stored per-key winners and decide which
+    changes win: ``(pos, wins)`` aligned with ``changes``, where ``pos`` is
+    the row of the change's key in ``stored`` (-1 when absent) and
+    ``wins`` is True for absent keys and for changes whose order tuple is
+    ``>=`` the stored one (ties go to the change, the concat-order rule of
+    the full merge). ``stored`` holds at most one row per key.
 
-    if pd.api.types.is_datetime64_any_dtype(s.dtype):
-        lo = pd.Timestamp.min
-        tz = getattr(s.dtype, "tz", None)
-        if tz is not None:
-            lo = lo.tz_localize("UTC").tz_convert(tz)
-        return s.fillna(lo).to_numpy()
-    return s.fillna(-np.inf).to_numpy()
+    Stored key and order columns are cast to the change rows' types first
+    (a chain file may predate a widening, or carry another timestamp
+    unit), and nulls take the :func:`_order_arrays` fill, so a null order
+    value loses to every real value on either side — the verdict the
+    full-merge ``np.lexsort`` reaches."""
+    n = changes.num_rows
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    cols = {}
+    for c in [key, *order]:
+        col = stored[c]
+        if not col.type.equals(changes.schema.field(c).type):
+            col = pc.cast(col, changes.schema.field(c).type)
+        cols[c] = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    pos = pc.index_in(changes[key], value_set=cols[key])
+    pos = pc.fill_null(pos, -1).to_numpy(zero_copy_only=False).astype(np.int64)
+    have = pos >= 0
+    if not have.any():
+        return pos, np.ones(n, dtype=bool)
+    aligned = pa.table({c: cols[c] for c in order}).take(
+        pa.array(np.where(have, pos, 0)))
+    ge = lex_ge(_order_arrays(changes, order), _order_arrays(aligned, order))
+    return pos, ~have | ge
 
 
 def lww_indices(table: pa.Table, key: str, order: list[str]) -> np.ndarray:

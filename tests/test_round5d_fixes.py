@@ -5,9 +5,8 @@
    malformed feed) normalizes to all-null inside the convert kernel —
    deletes still apply, malformed rows dead-letter — instead of
    KeyError-ing the Ray task.
-2. ``merge_bucket_runs``: the shared bucket-run splitter behind every
-   exchange strategy's merge task groups a mixed-bucket table into
-   contiguous single-bucket runs, stably.
+2. (moved: the multi-bucket merger's grouping is covered by
+   ``tests/test_merge_kernel.py``.)
 3. Explicit ``exchange=`` requests are validated (unknown name,
    late+salted_reduce, late+update-mode, late+per-row ``_mode``) and an
    explicit ``split`` is honored even for tiny epochs.
@@ -27,8 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
-from geomesa_nifi_ray.engine import (CDCEngine, make_generic_convert_fn,
-                                     merge_bucket_runs)
+from geomesa_nifi_ray.engine import CDCEngine, make_generic_convert_fn
 from geomesa_nifi_ray.upsert import lww_indices
 
 
@@ -110,27 +108,6 @@ def test_generic_epoch_missing_order_column_dead_letters(ray_session,
     snap = eng.table.snapshot_table()
     assert sorted(snap["k"].to_pylist()) == ["a", "b"]
     assert sorted(snap["v"].to_pylist()) == [1, 2]  # 9s never landed
-
-
-# -- 2: merge_bucket_runs ---------------------------------------------------
-
-def test_merge_bucket_runs_groups_stably():
-    t = pa.table({
-        "bucket": pa.array([3, 1, 3, 1, 2, 1], pa.int32()),
-        "seq": pa.array([0, 1, 2, 3, 4, 5], pa.int64()),
-    })
-    seen = []
-
-    def merge_fn(run: pa.Table) -> pa.Table:
-        bs = set(run["bucket"].to_pylist())
-        assert len(bs) == 1, "a run must be single-bucket"
-        seen.append((bs.pop(), run["seq"].to_pylist()))
-        return run
-
-    out = merge_bucket_runs(t, merge_fn)
-    # ascending bucket order, and input order preserved WITHIN each bucket
-    assert seen == [(1, [1, 3, 5]), (2, [4]), (3, [0, 2])]
-    assert out.num_rows == t.num_rows
 
 
 # -- 3: exchange validation -------------------------------------------------

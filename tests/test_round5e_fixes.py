@@ -13,17 +13,19 @@
    ``order=`` leaves it out — the validity check reads it unconditionally
    (contract event time), so a producer omitting the column dead-letters
    instead of KeyError-ing the Ray task.
-4. ``_fill_order_lose`` unit coverage for the numeric / datetime branches.
+4. Null order values in the delta verdict (``upsert.beats_stored``) for
+   the int / float / string / timestamp branches: null loses to every
+   real value on either side and ties with null.
 """
 
-import numpy as np
-import pandas as pd
+import datetime as dt
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from geomesa_nifi_ray.engine import CDCEngine
-from geomesa_nifi_ray.upsert import _fill_order_lose
+from geomesa_nifi_ray.upsert import beats_stored
 
 
 def _pages_table(urls, ts, offs, html=b"<p>x</p>", lang=None):
@@ -101,7 +103,7 @@ def test_nullable_order_delta_matches_full_merge(ray_session, tmp_path):
     (order=('warc_ts','lang'), lang sometimes null) and heavy key/ts
     collisions, the delta path (max_deltas=4) and the full-merge path
     (max_deltas=0) must produce identical snapshots — the two null-order
-    verdicts (_order_arrays lexsort vs _fill_order_lose+lex_ge) agree."""
+    verdicts (_order_arrays lexsort vs beats_stored's join + lex_ge) agree."""
     import random
 
     import pyarrow.compute as pc
@@ -246,19 +248,65 @@ def test_schema_timeline_mark_applied_repairs_planning(tmp_path):
     assert tl.schema_after(2) is not None      # planning resumed
 
 
-# -- 4: _fill_order_lose dtype branches ---------------------------------------
+# -- 4: null order values in the delta verdict, per type ----------------------
 
-def test_fill_order_lose_branches():
-    # no nulls: pass-through
-    out = _fill_order_lose(pd.Series([1, 2], dtype="int64"))
-    assert out.dtype == np.int64 and list(out) == [1, 2]
-    # numeric with NaN (int upcast by a left join) -> -inf
-    out = _fill_order_lose(pd.Series([1.0, np.nan]))
-    assert out[1] == -np.inf and out[1] < 0 < out[0] + 1
-    # object -> "" (loses to every real string, ties with itself)
-    out = _fill_order_lose(pd.Series(["b", None], dtype=object))
-    assert out[1] == "" and out[0] > out[1]
-    # datetime64 NaT -> Timestamp.min (below every real timestamp)
-    s = pd.Series(pd.to_datetime(["2026-01-01", None]))
-    out = _fill_order_lose(s)
-    assert pd.Timestamp(out[1]) == pd.Timestamp.min and out[1] < out[0]
+def _verdict(change_vals, stored_vals, typ):
+    """beats_stored over keys k0..kn: change i against stored i."""
+    n = len(change_vals)
+    keys = pa.array([f"k{i}" for i in range(n)])
+    ch = pa.table({"k": keys, "o": pa.array(change_vals, typ)})
+    st = pa.table({"k": keys, "o": pa.array(stored_vals, typ)})
+    pos, wins = beats_stored(ch, st, "k", ["o"])
+    assert list(pos) == list(range(n))
+    return list(wins)
+
+
+def test_beats_stored_null_order_branches():
+    # no nulls: plain comparison, ties go to the change
+    assert _verdict([1, 2], [1, 3], pa.int64()) == [True, False]
+    # integer null (the old left join's NaN upcast) loses, stored null loses
+    assert _verdict([None, 0, None], [-5, None, None], pa.int64()) == [
+        False, True, True]
+    # float null loses to every real value, ties with null
+    assert _verdict([1.0, None, -1e308, None], [0.5, 0.5, None, None],
+                    pa.float64()) == [True, False, True, True]
+    # string null loses to every real string, ties with itself
+    assert _verdict(["b", None, "a", None], ["a", "a", None, None],
+                    pa.string()) == [True, False, True, True]
+    # timestamp null sorts below every real timestamp
+    t0, t1 = dt.datetime(2025, 1, 1), dt.datetime(2026, 1, 1)
+    assert _verdict([t1, None, t0, None], [t0, t0, None, None],
+                    pa.timestamp("us")) == [True, False, True, True]
+    # absent keys always win, null order or not
+    ch = pa.table({"k": ["x", "y"], "o": pa.array([None, 1], pa.int64())})
+    st = pa.table({"k": ["z"], "o": pa.array([9], pa.int64())})
+    pos, wins = beats_stored(ch, st, "k", ["o"])
+    assert list(pos) == [-1, -1] and list(wins) == [True, True]
+
+
+def test_beats_stored_casts_stored_timestamp_unit():
+    """A chain that stores its timestamp order column in ``us`` compared
+    with change rows arriving in ``ns``: the stored side is cast to the
+    change type before comparing, so equal instants tie and a later
+    change wins (raw int64 would compare us counts against ns counts)."""
+    t_us = [1_000_000, 2_000_000, 3_000_000]
+    st = pa.table({"k": ["a", "b", "c"],
+                   "ts": pa.array(t_us, pa.int64()).cast(pa.timestamp("us")),
+                   "off": pa.array([5, 5, 5], pa.int64())})
+    ch = pa.table({"k": ["a", "b", "c"],
+                   "ts": pa.array([t_us[0] * 1000, t_us[1] * 1000 - 1,
+                                   t_us[2] * 1000 + 1],
+                                  pa.int64()).cast(pa.timestamp("ns")),
+                   "off": pa.array([5, 9, 0], pa.int64())})
+    pos, wins = beats_stored(ch, st, "k", ["ts", "off"])
+    assert list(pos) == [0, 1, 2]
+    # a: same instant, same offset -> tie -> change wins;
+    # b: 1 ns earlier loses despite the larger offset; c: 1 ns later wins
+    assert list(wins) == [True, False, True]
+    # the other direction: stored ns, change us, stored keys as large_string
+    st2 = st.set_column(0, "k", st["k"].cast(pa.large_string())).set_column(
+        1, "ts", st["ts"].cast(pa.timestamp("ns")))
+    ch2 = ch.set_column(1, "ts", pa.array(t_us, pa.int64()).cast(
+        pa.timestamp("us")))
+    pos, wins = beats_stored(ch2, st2, "k", ["ts", "off"])
+    assert list(pos) == [0, 1, 2] and list(wins) == [True, True, False]
