@@ -174,11 +174,6 @@ def run_bench() -> dict:
                              exchange=exchange)
         wall = time.perf_counter() - t0
         eng_box["eng"] = eng
-        # keep the stats panel of the BEST rep, not the last one — a
-        # gate-extended final rep can land on a burst and would otherwise
-        # overwrite the panel with throttled per-stage numbers
-        if "best" not in eng_box or wall < eng_box["best"][0]:
-            eng_box["best"] = (wall, eng.last_stats)
         return wall
 
     headline_walls = _until_stable(_headline_once, reps)
@@ -201,29 +196,8 @@ def run_bench() -> dict:
     eng = eng_box["eng"]
     headline = min(headline_walls)
     # headline-only invocations are quick verification probes (small sf,
-    # few cpus) — don't let them clobber the committed full-config panel
+    # few cpus): the --scaling subprocesses time the headline alone
     headline_only = os.environ.get("GRAFT_BENCH_HEADLINE_ONLY") == "1"
-    best_wall, best_stats = eng_box["best"]  # set by the guaranteed first rep
-    if best_wall is not None:
-        best_wall = round(best_wall, 3)
-    if not headline_only:
-        with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                               "BENCH_STATS.txt"), "w") as f:
-            f.write(f"# per-stage stats of the headline catch-up replay "
-                    f"(num_cpus={NUM_CPUS}, sf={SF_DIR}, "
-                    f"best-rep wall={best_wall}s"
-                    f"{', INTERFERENCE SUSPECTED' if interference else ''})\n")
-            if best_stats:
-                f.write(best_stats)
-            else:
-                # the task-based conversion + split/tiny exchange run as
-                # raw Ray tasks — there is no Dataset executor in the
-                # headline, hence no per-stage stats panel. Per-stage
-                # analysis of the Dataset-driven paths lives in git
-                # history and BASELINE.md ("sequential vs catch-up").
-                f.write("# headline used task-based conversion + raw-task "
-                        "exchange: no Dataset-executor stages to report.\n"
-                        f"# headline walls: {headline_walls}\n")
     table_rows = sum(int(b["rows"]) for b in eng.table.manifest(
         eng.table.committed_epoch())["buckets"].values())
 

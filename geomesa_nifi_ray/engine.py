@@ -3,42 +3,40 @@ bucketed upsert -> exactly-once manifest commit.
 
 The driver loop is the analog of the reference's Kafka tailer
 (``GetGeoMesaKafkaRecord.scala:263-304``): instead of consumer threads and
-a SynchronousQueue handoff, the driver reads the next uncommitted offset
-range of the change log as a lazy ``ray.data.Dataset``, streams it through
-the pipeline, and atomically commits ``(epoch, offsets, bucket manifests)``.
+a SynchronousQueue handoff, the driver converts the next uncommitted offset
+range of the change log with raw Ray tasks, exchanges and merges it, and
+atomically commits ``(epoch, offsets, bucket manifests)``.
 Crash before commit => the epoch replays idempotently (deterministic bucket
 files at deterministic paths), which upgrades the reference's
 at-least-once + content-hash-idempotence into exactly-once.
 
 Pipeline per epoch:
 
-    read_parquet(epoch slice, pruned columns)
-      -> map_batches(convert, batch_format="pyarrow")   # html->text kernel,
+    convert tasks, one per part file (or row-group range of a part over
+      64 MB, or block of a ``Dataset`` source)    # html->text kernel,
              schema projection, content-hash, bucket, per-batch partial LWW
-      -> bucket exchange (one of three, identical results)
+      -> bucket exchange (one of two, identical lakes)
       -> bucket merge: one merger call per merge task, all its buckets at
              once (delta write or compaction, through the Sink SPI)
       -> tiny lineage table -> manifest commit on the driver
 
 Exchange strategies (equivalence tested manifest-for-manifest):
 
-- **sort** (default): Dataset ``groupby("bucket")`` — streaming,
-  spill-capable, fastest single-node (plasma is near-zero-copy);
-- **late** (``exchange="late"``): keys-only shuffle -> per-bucket LWW
-  winner selection -> node-local payload extraction -> merge; cluster
-  network ∝ deduped output, the multi-node configuration
-  (:func:`run_late_exchange`);
-- **split** (auto for the small/mid band ≤8×batch×P rows, or
-  ``exchange="split"``): two raw task waves — per-block bucket-range
-  split, per-group in-memory merge — no sort machinery, cutting the
-  steady-state commit latency ~3x (:func:`run_split_exchange`; on a
-  single node it collapses to one wave over shared plasma blocks);
-- **tiny** (auto, ≤2×batch_size rows): one task grouping the whole epoch
-  in-memory — the steady-state tail cadence skips shuffle machinery.
+- **split** (default): raw tasks over bucket-range groups
+  (:func:`run_split_exchange`). The group count G grows with the epoch:
+  one task at ≤2×batch rows (the steady-state tail cadence), min(16, P)
+  up to 8×batch×P rows, P beyond, so a merge task holds at most about one
+  bucket's rows. On a single node each group task slices its range out of
+  the shared plasma blocks; on a cluster a split wave first cuts every
+  block into G parts;
+- **late** (auto for large upsert epochs on a multi-node cluster, or
+  ``exchange="late"``): keys-only shuffle -> per-bucket LWW winner
+  selection -> node-local payload extraction -> merge; cluster network ∝
+  deduped output (:func:`run_late_exchange`).
 
 Steady-state writes are delta files (winners only) with compaction at
-``max_deltas``; sequential replay prefetches the next epoch's convert on a
-background thread (:meth:`CDCEngine._replay_pipelined`).
+``max_deltas``; replay converts up to ``lookahead`` groups ahead of the
+one being merged and committed (:meth:`CDCEngine._replay_groups`).
 
 Skew: the per-batch partial LWW inside convert collapses hot-url
 duplicates before the shuffle (combiner pattern), so a url with 10^6
@@ -448,9 +446,8 @@ def make_bucket_merger(table: LakeTable, epoch: int, live: dict[int, dict],
     ``t`` holds converted change rows of any number of buckets (its
     ``bucket`` column says which); the result has one
     :data:`LINEAGE_SCHEMA` row per bucket of ``t``, ascending by bucket.
-    The tiny, split and late exchanges hand each merge task's whole
-    multi-bucket table to one call; the sort exchange's ``map_groups``
-    calls it once per bucket, which is the same code with one bucket.
+    The split and late exchanges hand each merge task's whole
+    multi-bucket table to one call.
 
     Steady-state upsert buckets take the **delta path**, decided for all
     of them in one vectorized pass: the ``_dead``/``_op``/``_mode``
@@ -803,7 +800,7 @@ def _task(fn):
 
 
 def _merge_parts(merger, *parts: pa.Table) -> pa.Table:
-    """Merge task shared by the tiny, split and late exchanges: one merger
+    """Merge task of the two-wave split and the late exchange: one merger
     call over the concatenation of this task's parts (deterministic part
     order), however many buckets they span.
 
@@ -900,11 +897,12 @@ def _late_extract_block(block: pa.Table, block_id: int, groups: int,
     return tuple(outs)
 
 
-def run_late_exchange(converted_mat, merge_bucket, key: str, order: list[str],
+def run_late_exchange(refs: list, merge_bucket, key: str, order: list[str],
                       num_buckets: int) -> list[dict]:
-    """Late-materialized keyed exchange (the 100 TB shuffle design).
+    """Late-materialized keyed exchange (the 100 TB shuffle design) over
+    the converted block refs of one epoch.
 
-    The sort-based exchange ships every change row's full payload (html!)
+    A payload exchange ships every change row's full payload (html!)
     across the cluster; but LWW only needs the *keys* to pick winners. Three
     rounds, each moving the minimum possible bytes:
 
@@ -925,16 +923,13 @@ def run_late_exchange(converted_mat, merge_bucket, key: str, order: list[str],
     Cluster network traffic = O(keys) + O(winner payloads) — proportional
     to the deduped output, not the input. (An earlier 2-round version had
     bucket tasks ray.get whole blocks, which on a multi-node cluster pulls
-    every block to every node — input × nodes, WORSE than the sort
-    exchange; the extract round is what makes the design real.) Dataset
-    groupby cannot express late materialization, hence raw Ray tasks;
-    determinism and idempotence are unchanged: winner selection is a pure
-    function of the deterministic block list, and writes stay
+    every block to every node — input × nodes; the extract round is what
+    makes the design real.) Determinism and idempotence: winner selection
+    is a pure function of the deterministic block list, and writes stay
     deterministic tmp+rename.
     """
     import ray
 
-    refs = converted_mat.to_arrow_refs()
     order = list(order)
     slices = [_task(_late_split_keys).remote(r, i, key, order)
               for i, r in enumerate(refs)]
@@ -1015,30 +1010,46 @@ def _alive_node_count() -> int:
         return 1
 
 
-class RefBlocks:
-    """A pre-converted epoch held as raw plasma block refs (one per input
-    file), produced by the pipelined replay's task-based conversion path.
-    Carrying refs instead of a ``Dataset`` lets ``apply_epoch`` feed the
-    split exchange with zero Dataset-executor involvement — no per-epoch
-    pipeline ramp, no driver-thread GIL contention (measured in BASELINE.md
-    "sequential vs catch-up")."""
-
-    def __init__(self, refs):
-        self.refs = list(refs)
-
-
+# a part file above this size converts as several tasks, one per range of
+# its row groups, so one oversized part does not serialize an epoch
 _TASK_CONVERT_MAX_PART_BYTES = 64 << 20
 
 
-def _small_local_parts(paths) -> bool:
-    """True when every part file is local and modest (≤64 MB) — the gate
-    for the raw-task conversion paths (a task per oversized part would
-    under-parallelize; non-local paths keep the Dataset read)."""
-    try:
-        return all(os.path.getsize(f) <= _TASK_CONVERT_MAX_PART_BYTES
-                   for f in paths)
-    except OSError:
-        return False
+def _convert_units(files: list[str]) -> list[tuple[str, list[int] | None]]:
+    """``(path, row_groups)`` per convert task: a part file over
+    ``_TASK_CONVERT_MAX_PART_BYTES`` with more than one row group is cut
+    into contiguous row-group ranges of about that size; every other file
+    (and a path that is not local) is one task reading the whole file."""
+    units: list[tuple[str, list[int] | None]] = []
+    for f in files:
+        try:
+            size = os.path.getsize(f)
+        except OSError:
+            size = 0
+        if size > _TASK_CONVERT_MAX_PART_BYTES:
+            n_rg = pq.ParquetFile(f).num_row_groups
+            k = min(n_rg, -(-size // _TASK_CONVERT_MAX_PART_BYTES))
+            if k > 1:
+                cuts = [n_rg * i // k for i in range(k + 1)]
+                units.extend((f, list(range(cuts[i], cuts[i + 1])))
+                             for i in range(k))
+                continue
+        units.append((f, None))
+    return units
+
+
+@dataclass
+class _ReplayGroup:
+    """Consecutive pending epochs applied as one commit: a catch-up batch
+    or a single epoch. ``files`` is ``None`` for epochs read from a
+    Source; ``plan`` is what the schema timeline plans the group from (its
+    input schema, or a part path whose footer is read on demand; ``None``
+    when it cannot be planned)."""
+
+    epochs: list[dict]
+    mode: str
+    files: list[str] | None
+    plan: pa.Schema | str | None
 
 
 class _SchemaTimeline:
@@ -1052,10 +1063,11 @@ class _SchemaTimeline:
     everything beyond, so callers apply those entries WITHOUT
     pre-conversion and the real error (SchemaError, missing file, corrupt
     footer) surfaces from that entry's own ``apply_epoch`` — with every
-    earlier entry already committed, exactly like the serial path (an
-    eager up-front timeline would abort the whole drain with zero
-    progress). If an unplanned entry then applies SUCCESSFULLY anyway
-    (file rewritten between planning and apply — rewrite retries are
+    earlier entry already committed, as if the entries were applied one by
+    one (an eager up-front timeline would abort the whole drain with zero
+    progress). A ``None`` entry cannot be planned. If an unplanned entry
+    then applies SUCCESSFULLY anyway (file rewritten between planning and
+    apply — rewrite retries are
     supported), ``mark_applied`` adopts the actual stored schema as that
     entry and resumes planning, so one transient hiccup cannot silently
     degrade the whole remaining drain to the unprefetched path."""
@@ -1098,12 +1110,25 @@ class _SchemaTimeline:
             self._failed = False
 
 
-def _convert_file(path: str, convert_fn, batch_size: int) -> pa.Table:
-    """One raw conversion task: read one binlog part file, run the convert
-    fn per ``batch_size`` slice (same segmentation contract as
-    ``map_batches``; winners are re-reduced per bucket later, so slice
-    boundaries never change the final merge), return one block."""
-    t = pq.read_table(path)
+def _convert_file(src, convert_fn, batch_size: int,
+                  row_groups: list[int] | None = None) -> pa.Table:
+    """One raw conversion task: read one binlog part file (``src`` a path;
+    only ``row_groups`` of it when given), or take one block of a
+    ``Dataset`` source (``src`` a table); run the convert fn per
+    ``batch_size`` slice of each chunk (winners are re-reduced per bucket
+    later, so slice boundaries never change the final merge) and return
+    one block. A row-group range reads through the dataset scanner, as
+    ``pq.read_table`` does, so its chunks, and therefore its slices, are
+    the ones the whole-file read would give."""
+    if isinstance(src, pa.Table):
+        t = src
+    elif row_groups is None:
+        t = pq.read_table(src)
+    else:
+        import pyarrow.dataset as pads
+
+        frag = next(pads.dataset(src, format="parquet").get_fragments())
+        t = frag.subset(row_group_ids=row_groups).to_table()
     outs = [
         convert_fn(pa.Table.from_batches([b]))
         for b in t.to_batches(max_chunksize=batch_size)
@@ -1114,12 +1139,16 @@ def _convert_file(path: str, convert_fn, batch_size: int) -> pa.Table:
 def _merge_group_direct(merger, gi: int, groups: int, num_buckets: int,
                         *blocks: pa.Table) -> pa.Table:
     """Single-node split exchange: slice group ``gi``'s bucket range out of
-    every shared plasma block and merge it in one call."""
+    every shared plasma block and merge it in one call (with one group,
+    the blocks as they are)."""
     import numpy as np
 
     parts = []
     for blk in blocks:
         if blk.num_rows == 0:
+            continue
+        if groups == 1:
+            parts.append(blk)
             continue
         b = blk["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
         m = (b * groups) // num_buckets == gi
@@ -1145,48 +1174,50 @@ def _split_block(block: pa.Table, groups: int, num_buckets: int):
         lo = int(np.searchsorted(gs, gi, side="left"))
         hi = int(np.searchsorted(gs, gi, side="right"))
         outs.append(sb.slice(lo, hi - lo))
-    return tuple(outs) if groups > 1 else outs[0]
+    return tuple(outs)
 
 
-def run_split_exchange(converted_mat, merge_bucket, num_buckets: int,
-                       num_groups: int = 16) -> list[dict]:
-    """Two-wave manual hash exchange for small/mid epochs — the band between
-    the tiny-epoch single task and the full sort shuffle.
+def _split_groups(rows_in: int, batch_size: int, num_buckets: int) -> int:
+    """Merge-task count G of the split exchange for an epoch of
+    ``rows_in`` rows: one task up to 2×batch rows, min(16, P) up to
+    8×batch×P rows, P beyond — there a merge task holds about one
+    bucket's rows, however large the epoch."""
+    if rows_in <= 2 * batch_size:
+        return 1
+    if rows_in <= 8 * batch_size * num_buckets:
+        return min(16, num_buckets)
+    return num_buckets
 
-    Ray Data's sort-based groupby carries ~1 s of fixed machinery (operator
-    startup + sort barrier) per execution; at steady-state commit cadence
-    that fixed cost dominates the actual merge work. Here the exchange is
-    just two raw task waves: (1) one task per converted block splits it into
-    ``G`` bucket-range parts (one object each — blocks x G small objects);
-    (2) one task per group concatenates its parts in deterministic block
-    order and hands the whole multi-bucket table to ONE merger call (see
-    :func:`make_bucket_merger`), the tiny-epoch merge generalized to G-way
-    parallelism. Moves the same post-combiner bytes as the sort exchange —
-    co-location by key, no sort, no Dataset barrier. Results are identical:
-    LWW inside the merger is a pure function of the row multiset. The tasks
-    are module-level (:func:`_task`); the merger rides as an argument.
+
+def run_split_exchange(refs: list, merge_bucket, num_buckets: int,
+                       num_groups: int) -> list[dict]:
+    """Bucket-range hash exchange over the converted block refs of one
+    epoch: ``num_groups`` merge tasks, each handing every row of its
+    bucket range to ONE merger call (see :func:`make_bucket_merger`).
+
+    On one node (and always with one group) each merge task takes every
+    block as an argument and slices its own range out of the shared plasma
+    blocks — no intermediate objects; one group skips even the slicing,
+    so the single-node lookup is not paid either. On a cluster that would
+    pull every block to every group (input x G network), so a first wave
+    of one task per block splits it into G parts (blocks x G small
+    objects) and each merge task fetches only its own parts. Results are
+    identical: LWW inside the merger is a pure function of the row
+    multiset. The tasks are module-level (:func:`_task`); the merger rides
+    as an argument.
     """
     import ray
 
-    refs = (list(converted_mat.refs) if isinstance(converted_mat, RefBlocks)
-            else converted_mat.to_arrow_refs())
     G = max(1, min(num_groups, num_buckets))
     merger_ref = ray.put(merge_bucket)
-
-    if _alive_node_count() <= 1:
-        # One wave: every group task maps the SAME plasma blocks (shared
-        # memory, zero-copy on one node) and slices out its bucket range —
-        # no intermediate split objects at all. Multi-node this would pull
-        # every block to every group (input x G network), so the two-wave
-        # split below is the cluster path.
+    if G == 1 or _alive_node_count() <= 1:
         results = ray.get([
             _task(_merge_group_direct).remote(merger_ref, gi, G, num_buckets,
                                               *refs)
             for gi in range(G)])
     else:
-        split = _task(_split_block)
-        parts = [split.options(num_returns=G).remote(r, G, num_buckets)
-                 if G > 1 else [split.remote(r, G, num_buckets)] for r in refs]
+        split = _task(_split_block).options(num_returns=G)
+        parts = [split.remote(r, G, num_buckets) for r in refs]
         results = ray.get([
             _task(_merge_parts).remote(merger_ref, *[p[gi] for p in parts])
             for gi in range(G)])
@@ -1260,11 +1291,12 @@ class CDCEngine:
             self.sink = sink_factory(self.table)
         try:
             # Ray Data's per-operator resource reservation starves a deep
-            # (read -> convert -> coalesce -> sort -> merge) pipeline when
-            # CPU slots are scarce: measured 214 s -> 56 s for the same 10M-
-            # event replay at num_cpus=8 (43% -> ~90% slot utilization) just
-            # by letting operators share slots greedily; neutral-to-better
-            # at 32 CPUs. Backpressure still applies (object-store limits).
+            # pipeline when CPU slots are scarce: measured 214 s -> 56 s for
+            # a 10M-event replay through a five-operator Dataset pipeline at
+            # num_cpus=8 (43% -> ~90% slot utilization) by letting operators
+            # share slots greedily. The engine's remaining Dataset pipelines
+            # (snapshot scans, rewrites, derived views) keep the setting.
+            # Backpressure still applies (object-store limits).
             from ray.data import DataContext
 
             DataContext.get_current().op_resource_reservation_enabled = False
@@ -1273,9 +1305,8 @@ class CDCEngine:
         from geomesa_nifi_ray.metrics import EpochCounters
 
         self._counters = EpochCounters(table_name)
-        self.last_stats: str | None = None
-        # which exchange the previous apply_epoch auto-selected
-        # ("tiny" | "split" | "late" | "sort"); observability + tests
+        # which exchange the previous apply_epoch ran ("split" | "late");
+        # observability + tests
         self.last_exchange_strategy: str | None = None
         # mixed-kernel gate runs once per engine instance (see apply_epoch)
         self._kernel_checked = False
@@ -1325,6 +1356,18 @@ class CDCEngine:
             self.table.order, **kw,
         )
 
+    def _submit_convert(self, stored_schema: pa.Schema, batch_size: int,
+                        units: list) -> list:
+        """One :func:`_convert_file` task per ``(source, row_groups)``
+        unit, all sharing one put of the converter; returns the block
+        refs."""
+        import ray
+
+        conv_ref = ray.put(self._make_convert(stored_schema))
+        convert = _task(_convert_file)
+        return [convert.remote(src, conv_ref, batch_size, rgs)
+                for src, rgs in units]
+
     # -- epoch application --------------------------------------------------
 
     def apply_epoch(
@@ -1334,39 +1377,28 @@ class CDCEngine:
         offset_range: tuple[int, int] | None = None,
         mode: str = "upsert",
         batch_size: int = 8192,
-        salted_reduce: bool = False,
-        salt_factor: int = 8,
         epochs_covered: tuple[int, int] | None = None,
-        pre_shuffle_coalesce: bool | None = None,
         exchange: str | None = None,
         rows_hint: int | None = None,
-        _converted=None,
+        _converted: list | None = None,
     ) -> EpochResult | None:
         """Apply one epoch of change events. ``source`` is a parquet path
         (str or list) or a ``ray.data.Dataset``. Idempotent: an epoch at or
         below the committed cursor is skipped.
 
-        ``salted_reduce`` inserts a salted pre-shuffle LWW reduce
-        (SURVEY.md §7.4): rows are first grouped on ``salt =
-        crc32(url) % (P * salt_factor)`` — a *function of the url*, so all
-        copies of a url share a salt, but the urls of one hot bucket spread
-        over ``salt_factor``× more reducers — and collapsed to one row per
-        url before the bucket exchange. At bench scale the extra shuffle
-        costs more than it saves (per-batch partial LWW already combines);
-        at 10^10 events with heavy per-url duplication it bounds the rows
-        any single bucket-merge task receives. Off by default."""
-        import ray.data
-
+        Every source becomes one list of converted block refs before the
+        exchange: part files convert in raw tasks (:func:`_convert_file`,
+        one per file or row-group range), a ``Dataset`` is materialized
+        once and its blocks go through the same task. ``_converted`` hands
+        in the refs a replay driver already converted with the same stored
+        schema. ``exchange`` is ``None`` (auto), ``"split"`` or
+        ``"late"``."""
         # explicit exchange requests are honored or rejected, never
         # silently downgraded (a caller benchmarking the multi-node path
-        # must not unknowingly measure the sort exchange)
-        if exchange not in (None, "sort", "late", "split"):
+        # must not unknowingly measure another exchange)
+        if exchange not in (None, "late", "split"):
             raise ValueError(f"unknown exchange {exchange!r}; "
-                             "one of 'sort', 'late', 'split'")
-        if exchange in ("late", "split") and salted_reduce:
-            raise ValueError(
-                f"exchange={exchange!r} cannot combine with salted_reduce "
-                "(the salted pre-reduce is a sort-exchange strategy)")
+                             "one of 'late', 'split'")
         if exchange == "late" and mode != "upsert":
             raise ValueError(
                 "exchange='late' requires mode='upsert': update merges "
@@ -1411,6 +1443,8 @@ class CDCEngine:
         if first_epoch != expected:
             raise SchemaError(f"epoch {first_epoch} out of order; next expected {expected}")
 
+        # every source becomes convert units — (part file, row groups) or
+        # (block, None) — plus the part files whose footers are unread
         if isinstance(source, (str, list)):
             paths = [source] if isinstance(source, str) else list(source)
             files = _expand_parquet_paths(paths)
@@ -1420,53 +1454,40 @@ class CDCEngine:
             rows_in = rows_hint if rows_hint is not None else sum(
                 pq.ParquetFile(p).metadata.num_rows for p in files
             )
-            # read_parquet plan construction samples fragments (~0.15 s);
-            # skip it when the pipelined caller already converted the epoch
-            ds = None if _converted is not None else ray.data.read_parquet(files)
+            units, unread_parts = _convert_units(files), files[1:]
         else:
-            ds = source
+            ds = source.materialize()   # one execution: count + blocks
             incoming_schema = pa.schema(ds.schema().base_schema)
-            # a descriptor row count skips the extra count() execution
             rows_in = rows_hint if rows_hint is not None else ds.count()
+            units, unread_parts = [(b, None) for b in ds.to_arrow_refs()], []
 
+        # Late is explicit opt-in OR the auto-default for large upsert
+        # epochs on a multi-node cluster, where a payload exchange would
+        # ship every change row's html across the network. The node count
+        # is probed only in the large band: small epochs (every tail
+        # commit) never pay the ray.nodes() GCS round trip.
+        num_buckets = self.table.num_buckets
+        want_late = exchange == "late" or (
+            exchange is None and mode == "upsert"
+            and rows_in > 8 * batch_size * num_buckets
+            and _alive_node_count() > 1)
         # per-row _mode directives are incompatible with the late
         # exchange's keys-only winner collapse: an older upsert row under
         # a newer update row for the same key would be dropped before the
-        # merge ever sees it (the sort/split/tiny paths deliver BOTH rows
-        # to merge_bucket, which inserts then coalesces). Reject BEFORE
+        # merge ever sees it (split delivers BOTH rows to the merger, which
+        # inserts then coalesces). Parts convert file-by-file with their
+        # own columns, so a _mode column in ANY part vetoes late; the extra
+        # footer reads are paid only when late could run. Checked BEFORE
         # schema reconciliation: a refused epoch must not evolve the
         # stored schema as a side effect.
         row_modes = MODE_COLUMN in incoming_schema.names
-        # probed AT MOST once per epoch (lazy + memoized): the footer-scan
-        # gate and the use_late auto-selection below must see the SAME
-        # node count — a node joining between two separate probes could
-        # select the late exchange with an unscanned row_modes=False —
-        # but steady-state paths that never consult it (tiny epochs,
-        # explicit exchange=, single-file epochs) must not pay a
-        # ray.nodes() GCS round-trip per commit
-        _mn_box: list[bool] = []
-
-        def multi_node() -> bool:
-            if not _mn_box:
-                _mn_box.append(_alive_node_count() > 1)
-            return _mn_box[0]
-
-        if (not row_modes and isinstance(source, (str, list))
-                and len(files) > 1
-                and (exchange == "late"
-                     or (exchange is None and multi_node()))):
-            # parts convert file-by-file (pipelined replay preserves each
-            # part's own columns), so a _mode column in ANY part — not
-            # just part 0's footer — must veto the keys-only late collapse.
-            # Only the late exchange is endangered (sort/split/tiny deliver
-            # BOTH rows to merge_bucket), so the extra footer reads (~ms
-            # per part) are paid only when late could actually be selected.
+        if want_late and not row_modes:
             row_modes = any(
-                MODE_COLUMN in pq.read_schema(p).names for p in files[1:])
+                MODE_COLUMN in pq.read_schema(p).names for p in unread_parts)
         if exchange == "late" and row_modes:
             raise ValueError(
                 "exchange='late' cannot honor per-row _mode directives; "
-                "use the sort or split exchange for _mode-carrying epochs")
+                "use the split exchange for _mode-carrying epochs")
 
         # schema reconciliation, once per epoch on the driver (§1.3)
         merge = merge_schemas(
@@ -1483,134 +1504,18 @@ class CDCEngine:
         merger = make_bucket_merger(self.table, epoch, live, mode=mode,
                                     max_deltas=self.max_deltas, sink=self.sink)
 
-        if _converted is not None:
-            # pipelined replay pre-converted this epoch (with the SAME
-            # stored schema, asserted by the caller) while the previous
-            # epoch's exchange ran; RefBlocks = raw task-converted blocks
-            converted = _converted
-            if isinstance(converted, RefBlocks) and salted_reduce:
-                import ray.data as _rd
+        refs = (_converted if _converted is not None else
+                self._submit_convert(stored_schema, batch_size, units))
 
-                converted = _rd.from_arrow_refs(converted.refs)
+        if want_late and not row_modes:
+            self.last_exchange_strategy = "late"
+            lineage = run_late_exchange(refs, merger, self.table.key,
+                                        self.table.order, num_buckets)
         else:
-            convert = self._make_convert(stored_schema)
-            converted = ds.map_batches(convert, batch_format="pyarrow", batch_size=batch_size)
-        if salted_reduce:
-            num_salts = self.table.num_buckets * salt_factor
-            key, order = self.table.key, self.table.order
-
-            def add_salt(t: pa.Table) -> pa.Table:
-                from geomesa_nifi_ray.hashing import bucket_ids
-
-                urls = [u if u is not None else "" for u in t[key].to_pylist()]
-                salts = bucket_ids(urls, num_salts)
-                return t.append_column("salt", pa.array(salts, type=pa.int32()))
-
-            def salted_lww(g: pa.Table) -> pa.Table:
-                dead_mask = pc.equal(g["_dead"], pa.scalar(1, pa.int8()))
-                dead = g.filter(dead_mask)
-                good = lww_dedupe(g.filter(pc.invert(dead_mask)), key, order)
-                return pa.concat_tables([good, dead]).drop_columns(["salt"])
-
-            converted = (
-                converted.map_batches(add_salt, batch_format="pyarrow")
-                .groupby("salt")
-                .map_groups(salted_lww, batch_format="pyarrow")
-            )
-        # Exchange strategy. Large upsert epochs use the late-materialized
-        # keyed exchange (see run_late_exchange): keys-only shuffle + winner
-        # payload fetch — O(deduped output) bytes moved instead of O(input).
-        # Small epochs and partial-update mode use the Dataset sort exchange
-        # (cheap at small size; update-mode merges want every change row).
-        # Exchange default is the Dataset sort shuffle: on a single node the
-        # object store makes it near-zero-copy and it measures fastest. The
-        # late exchange ("late") is the multi-node configuration — its
-        # network traffic is O(keys + deduped output) instead of O(input
-        # payload) — and it requires the epoch's converted blocks to fit
-        # the object store (they spill and thrash otherwise).
-        large_epoch = rows_in > 2 * batch_size * self.table.num_buckets
-        tiny_epoch = rows_in <= 2 * batch_size
-        # small/mid band: too big for one task, small enough that the sort
-        # shuffle's ~1 s fixed machinery dominates the merge work — use the
-        # two-wave split exchange (run_split_exchange) instead. Upper bound
-        # 8 x batch x P rows (~2M at defaults) keeps group-merge tasks'
-        # memory bounded; bigger epochs take the sort/late exchange.
-        split_epoch = (
-            not salted_reduce
-            and (
-                exchange == "split"   # explicit split always runs split
-                or (exchange is None and not tiny_epoch
-                    and rows_in <= 8 * batch_size * self.table.num_buckets)
-            )
-        )
-        # Late is explicit opt-in OR the AUTO-DEFAULT for large upsert
-        # epochs on a multi-node cluster: the sort exchange ships every
-        # change row's full html payload all-to-all, which is exactly what
-        # the late exchange (network = O(keys + deduped winners)) exists to
-        # prevent. Single node keeps sort (plasma makes it near-zero-copy
-        # and it measures fastest); explicit exchange= always wins.
-        use_late = (mode == "upsert" and not salted_reduce
-                    and not row_modes) and (
-            exchange == "late"
-            or (exchange is None and not tiny_epoch and not split_epoch
-                and multi_node())
-        )
-        self.last_exchange_strategy = (
-            "tiny" if (tiny_epoch and exchange is None and not salted_reduce)
-            else "split" if split_epoch
-            else "late" if use_late
-            else "sort"
-        )
-        # the late and sort exchanges consume a Dataset; tiny/split work on
-        # raw RefBlocks directly — lift ONCE here instead of per branch
-        if (isinstance(converted, RefBlocks)
-                and self.last_exchange_strategy in ("late", "sort")):
-            import ray.data as _rd
-
-            converted = _rd.from_arrow_refs(converted.refs)
-        if tiny_epoch and exchange is None and not salted_reduce:
-            # Steady-state tail epochs are small; Ray's sort shuffle has ~1 s
-            # of fixed machinery that dwarfs the work. One task takes the
-            # whole (tiny) epoch and decides all its buckets in one merger
-            # call — identical results, minimal latency per commit.
-            if isinstance(converted, RefBlocks):
-                import ray as _ray
-
-                res = _ray.get(_task(_merge_parts).remote(merger, *converted.refs))
-                lineage = res.to_pylist()
-                self.last_stats = None
-            else:
-                lineage_ds = converted.repartition(1).map_batches(
-                    merger, batch_format="pyarrow", batch_size=None
-                )
-                lineage = lineage_ds.take_all()
-                self.last_stats = lineage_ds.stats()
-        elif split_epoch:
-            if isinstance(converted, RefBlocks):
-                self.last_stats = None
-            else:
-                converted = converted.materialize()
-                self.last_stats = converted.stats()
-            lineage = run_split_exchange(converted, merger, self.table.num_buckets)
-        elif use_late:
-            mat = converted.materialize()
-            self.last_stats = mat.stats()
-            lineage = run_late_exchange(
-                mat, merger, self.table.key, self.table.order, self.table.num_buckets
-            )
-        else:
-            # Coalesce the (post-combiner) change set to P blocks before the
-            # exchange: Ray's sort-based shuffle creates one output partition
-            # per input block, so many tiny blocks make the all-to-all move
-            # O(blocks²) small objects. Small epochs (steady-state cadence)
-            # skip the extra barrier: their block count is already ~P.
-            if pre_shuffle_coalesce is None:
-                pre_shuffle_coalesce = large_epoch
-            if pre_shuffle_coalesce:
-                converted = converted.repartition(self.table.num_buckets)
-            lineage_ds = converted.groupby("bucket").map_groups(merger, batch_format="pyarrow")
-            lineage = lineage_ds.take_all()  # one small row per touched bucket
-            self.last_stats = lineage_ds.stats()  # per-stage wall/cpu breakdown
+            self.last_exchange_strategy = "split"
+            lineage = run_split_exchange(
+                refs, merger, num_buckets,
+                _split_groups(rows_in, batch_size, num_buckets))
 
         return self._commit_lineage(epoch, live, lineage, rows_in, mode,
                                     offset_range, epochs_covered)
@@ -1872,19 +1777,6 @@ class CDCEngine:
                 ch = src_table.epoch_changes_dataset(e, include_ops=True)
                 if drop_hash:
                     ch = ch.drop_columns(["content_hash"])
-                if m.get("mode") != "rewrite":
-                    # materialize once: apply_epoch's rows_in count() would
-                    # otherwise execute the lazy change scan a FIRST time
-                    # and the convert/exchange a SECOND — double the
-                    # per-epoch source IO (the same trap delete_where
-                    # documents). A non-rewrite change set is O(changes),
-                    # safely object-store resident. A rewrite, by contrast,
-                    # egresses as a FULL re-broadcast of every live row:
-                    # materialize() would pin O(table) in plasma, so stream
-                    # it and eat the extra count() scan (two streaming
-                    # passes, zero pinning) — rewrites are rare maintenance
-                    # epochs.
-                    ch = ch.materialize()
                 r = self.apply_epoch(
                     ch, epoch=e,
                     offset_range=(int(m["offset_min"]),
@@ -1955,12 +1847,10 @@ class CDCEngine:
             return synth_tombstone_events(stored, key, order_list,
                                           batch.filter(mask))
 
-        # materialize the (small: matches-only, null payloads) event set so
-        # apply_epoch's rows_in count and the exchange both read the cached
-        # blocks — unmaterialized, the O(lake) scan+predicate would execute
-        # TWICE (once for count(), once for the merge)
+        # apply_epoch materializes the (small: matches-only, null payloads)
+        # event set once, so the O(lake) scan+predicate runs once
         ev = self.table.snapshot_dataset(columns=need).map_batches(
-            to_events, batch_format="pyarrow").materialize()
+            to_events, batch_format="pyarrow")
         return self.apply_epoch(ev, epoch, offset_range=(-1, -1))
 
     def expire_before(self, cutoff, epoch: int | None = None) -> EpochResult | None:
@@ -2124,8 +2014,8 @@ class CDCEngine:
         mode: str = "upsert",
         catchup: bool = False,
         max_batch_epochs: int | None = None,
-        pipelined: bool = True,
         source=None,
+        lookahead: int | None = None,
         **apply_kwargs,
     ) -> list[EpochResult]:
         """Run all uncommitted epochs of a binlog (resume-aware). The
@@ -2133,7 +2023,7 @@ class CDCEngine:
         object with ``epochs: [{epoch, path, offset_min, offset_max}]``.
 
         ``catchup=True`` (upsert mode only) batches consecutive pending
-        epochs that share an input schema into ONE pipeline + ONE commit.
+        epochs that share an input schema into ONE commit.
         This is legal because LWW under the total order ``(warc_ts,
         offset)`` is associative: applying epochs [i..j] at once yields the
         same table as applying them one by one — the batched manifest
@@ -2149,401 +2039,121 @@ class CDCEngine:
         default — the per-epoch resolution of the reference's
         attribute-driven append/modify switch (``FeatureWriters.
         DynamicWriters:300-328``; SURVEY §2.9 maps per-batch dynamism to
-        epoch-boundary config on purpose). Mixed-mode runs fall back to the
-        serial per-epoch path; catch-up batches only consecutive
-        upsert-mode epochs.
+        epoch-boundary config on purpose). A run with any non-upsert epoch
+        commits one epoch at a time, each with its own mode.
+
+        ``lookahead`` bounds how many groups beyond the one being applied
+        are converted ahead (default 8 single epochs, 1 catch-up batch):
+        at most ``lookahead + 1`` groups' converted blocks are alive in
+        the object store at once. Descriptors without ``files``/``path``
+        are read from ``source`` (a message-bus Source) at apply time.
         """
-        # `lookahead` belongs to the pipelined path only; pop it here so the
-        # serial / catch-up / non-file paths don't forward it to apply_epoch
-        # (which takes no **kwargs) — a tailer configured with lookahead
-        # must keep working when a poll finds exactly one pending epoch
-        lookahead = apply_kwargs.pop("lookahead", None)
         committed = self.table.committed_epoch()
         pending = [
             e for e in binlog_meta["epochs"]
             if committed is None or int(e["epoch"]) > committed
         ]
-        epoch_modes = [e.get("mode", mode) for e in pending]
-        # Non-file descriptors (a Source whose read() yields a Dataset —
-        # the message-bus seam) are applied serially per epoch: each epoch
-        # is one commit's worth of rows at tail cadence, and the parquet
-        # fast paths (footer stats, schema grouping, task-based conversion)
-        # don't apply to an opaque stream.
-        if any("files" not in e and "path" not in e for e in pending):
-            if source is None:
-                raise ValueError(
-                    "descriptors carry no files/path; pass the Source so "
-                    "epochs can be read (tail() does this automatically)"
-                )
-            results = []
-            for e, e_mode in zip(pending, epoch_modes):
-                r = self.apply_epoch(
-                    source.read(e),
-                    epoch=int(e["epoch"]),
-                    offset_range=(e["offset_min"], e["offset_max"]),
-                    mode=e_mode,
-                    rows_hint=e.get("rows"),
-                    **apply_kwargs,
-                )
-                if r is not None:
-                    results.append(r)
-            return results
-        mixed_modes = len(set(epoch_modes)) > 1
-        # A UNIFORM per-epoch override (every descriptor says e.g. 'update')
-        # must win over the call-level default in the pipelined and catch-up
-        # paths too, not just the serial loop — otherwise update-mode epochs
-        # would be silently applied as upserts.
-        uniform_mode = epoch_modes[0] if (epoch_modes and not mixed_modes) else mode
-        results: list[EpochResult] = []
-        if not catchup or uniform_mode != "upsert" or mixed_modes:
-            if pipelined and len(pending) > 1 and not mixed_modes:
-                return self._replay_pipelined(pending, uniform_mode,
-                                              lookahead=lookahead,
-                                              **apply_kwargs)
-            for e, e_mode in zip(pending, epoch_modes):
-                r = self.apply_epoch(
-                    e.get("files", e["path"]),
-                    epoch=int(e["epoch"]),
-                    offset_range=(e["offset_min"], e["offset_max"]),
-                    mode=e_mode,
-                    rows_hint=e.get("rows"),
-                    **apply_kwargs,
-                )
-                if r is not None:
-                    results.append(r)
-            return results
-
-        # group consecutive pending epochs by input schema fingerprint;
-        # grouping NEEDS eager footer reads (schema equality defines the
-        # batch boundaries), so an unreadable epoch stops batching there:
-        # it and everything after become single-epoch groups applied
-        # serially — the readable prefix commits and the real error
-        # surfaces from the broken epoch's own apply_epoch
-        groups: list[list[tuple[dict, list[str]]]] = []
-        group_schemas: list[pa.Schema | None] = []
+        from_source = any("files" not in e and "path" not in e
+                          for e in pending)
+        if from_source and source is None:
+            raise ValueError(
+                "descriptors carry no files/path; pass the Source so "
+                "epochs can be read (tail() does this automatically)"
+            )
+        modes = [e.get("mode", mode) for e in pending]
+        batch = (catchup and not from_source
+                 and all(m == "upsert" for m in modes))
+        groups = []
         last_schema = None
         broken = False
-        for e in pending:
-            raw = e["files"] if "files" in e else [e["path"]]
-            if not broken:
-                try:
-                    files = _expand_parquet_paths(raw)
-                    sch = pq.read_schema(files[0])
-                except Exception:
-                    broken = True
-            if broken:
-                groups.append([(e, list(raw))])
-                group_schemas.append(None)
-                last_schema = None
+        for e, e_mode in zip(pending, modes):
+            if from_source:
+                groups.append(_ReplayGroup([e], e_mode, None, None))
                 continue
-            if (
-                groups
-                and last_schema is not None
-                and sch.equals(last_schema)
-                and (max_batch_epochs is None or len(groups[-1]) < max_batch_epochs)
-            ):
-                groups[-1].append((e, files))
-            else:
-                groups.append([(e, files)])
-                group_schemas.append(sch)
-            last_schema = sch
-        # Each group is PRE-CONVERTED with raw Ray tasks — the task-based
-        # conversion path that already carries the sequential replay (no
-        # Dataset pipeline ramp, no executor involvement for the
-        # conversion; measured in BASELINE.md "sequential vs catch-up").
-        # Oversized/non-local part files keep the Dataset read inside
-        # apply_epoch. The stored-schema timeline is extended LAZILY, one
-        # group ahead of the applies (same deterministic rule apply_epoch
-        # uses): an incompatible later group must surface from ITS
-        # apply_epoch with every earlier group already committed — the
-        # serial path's behavior — not abort the whole drain up front.
-        group_files = [[f for _, fls in g for f in fls] for g in groups]
-        use_tasks = _small_local_parts(
-            f for fls in group_files for f in fls)
-        bsz = apply_kwargs.get("batch_size", 8192)
-        timeline = _SchemaTimeline(self.table.schema, self.compatibility,
-                                   group_schemas)
-        refs_by_group: dict[int, list] = {}
-        if use_tasks:
-            import ray
-
-            convert_task = _task(_convert_file)
-
-            def _submit(j: int) -> None:
-                if j >= len(groups) or j in refs_by_group:
-                    return
-                sch = timeline.schema_after(j)
-                if sch is None:   # unplannable: apply_epoch raises at j
-                    return
-                conv_ref = ray.put(self._make_convert(sch))
-                refs_by_group[j] = [
-                    convert_task.remote(f, conv_ref, bsz)
-                    for f in group_files[j]
-                ]
-
-            _submit(0)
-        for i, g in enumerate(groups):
-            refs = refs_by_group.pop(i, None)
-            if use_tasks:
-                # overlap the NEXT group's conversion with this group's
-                # exchange+merge (groups beyond one exist only across
-                # schema-evolution boundaries)
-                _submit(i + 1)
-            rows_hint = (sum(int(e["rows"]) for e, _ in g)
-                         if all("rows" in e for e, _ in g) else None)
-            r = self.apply_epoch(
-                group_files[i],
-                epoch=int(g[-1][0]["epoch"]),
-                offset_range=(g[0][0]["offset_min"], g[-1][0]["offset_max"]),
-                mode=uniform_mode,
-                epochs_covered=(int(g[0][0]["epoch"]), int(g[-1][0]["epoch"])),
-                rows_hint=rows_hint,
-                _converted=RefBlocks(refs) if refs is not None else None,
-                **apply_kwargs,
-            )
-            if r is not None:
-                if refs is not None and not self.table.schema.equals(
-                        timeline.schema_after(i)):
-                    raise SchemaError(
-                        "stored schema diverged from the precomputed timeline"
-                    )
-                if use_tasks:
-                    # an unplanned group that applied anyway (input fixed
-                    # between planning and apply) re-seeds the timeline so
-                    # later groups pre-convert again; no-op when planned
-                    timeline.mark_applied(i, self.table.schema)
-                results.append(r)
-        return results
-
-    def _replay_pipelined(self, pending: list[dict], mode: str,
-                          batch_size: int = 8192,
-                          lookahead: int | None = None,
-                          **apply_kwargs) -> list[EpochResult]:
-        """Sequential per-epoch replay with convert/merge overlap: the next
-        ``lookahead`` epochs' read+convert pipelines materialize on
-        background threads while epoch e's exchange+merge+commit runs — the
-        driver-side analog of the reference's consumer-thread prefetch
-        (``GetGeoMesaKafkaRecord.scala:263-304``: Kafka threads accumulate
-        the next batch while onTrigger writes the current one). Commit
-        order, schema-evolution boundaries and crash semantics are
-        untouched: conversion is pure, only commits are serialized.
-
-        ``lookahead`` > 1 matters because conversion dominates per-epoch
-        wall time while the merge+commit it overlaps is short: with a
-        window of 1 the conversions run serially (each pays its own
-        pipeline ramp-up/ramp-down) and the ratio to catch-up stalls near
-        0.6; with 3 concurrent materializations the cluster's slots stay
-        saturated across epoch boundaries exactly as catch-up's single
-        pipeline keeps them (measured in BASELINE.md "sequential vs
-        catch-up"). The window also bounds object-store residency: at most
-        ``lookahead`` epochs' converted blocks are alive at once.
-
-        The stored-schema timeline (:class:`_SchemaTimeline`) extends
-        LAZILY, one epoch ahead of the applies — schema merging is
-        deterministic, so a prefetched epoch converts with exactly the
-        schema it will see once its predecessor commits. An epoch that
-        fails to plan (incompatible schema, unreadable footer) gets no
-        prefetch: the compatible prefix commits and the real error
-        surfaces from that epoch's own ``apply_epoch``; a planned epoch
-        whose post-apply stored schema diverges from the timeline
-        (corrupted lake changed underneath) raises ``SchemaError``.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        import ray.data
-
-        key, order = self.table.key, self.table.order
-        num_buckets = self.table.num_buckets
-
-        # Expansion is eager (cheap directory listing, and the size gate
-        # below needs the full file list); FOOTER READS are lazy, inside
-        # the timeline, so an unreadable later epoch costs nothing until
-        # its turn and cannot abort the drain up front. Expansion failure
-        # for a later epoch degrades the same way: raw paths go to that
-        # epoch's own apply_epoch, which raises the real error after the
-        # earlier epochs committed.
-        plans = []
-        incoming = []
-        broken = False
-        for e in pending:
+            # eager expansion (a directory listing); the footer is read
+            # here only to draw catch-up batch boundaries, otherwise lazily
+            # by the schema timeline. An epoch that fails to expand or read
+            # stops planning: it and everything after apply one by one with
+            # no pre-conversion, so the readable prefix commits and the
+            # real error surfaces from the broken epoch's own apply_epoch
             raw = e["files"] if "files" in e else [e["path"]]
-            files = None
+            files, sch = list(raw), None
             if not broken:
                 try:
                     files = _expand_parquet_paths(raw)
+                    if batch:
+                        sch = pq.read_schema(files[0])
                 except Exception:
                     broken = True
-            if broken:
-                plans.append((e, list(raw)))
-                incoming.append(None)   # unplannable: stops the timeline
+            if (sch is not None and last_schema is not None
+                    and sch.equals(last_schema)
+                    and (max_batch_epochs is None
+                         or len(groups[-1].epochs) < max_batch_epochs)):
+                groups[-1].epochs.append(e)
+                groups[-1].files.extend(files)
             else:
-                plans.append((e, files))
-                incoming.append(files[0])   # path: footer read on demand
+                plan = None if broken else (sch if sch is not None else files[0])
+                groups.append(_ReplayGroup([e], e_mode, files, plan))
+            last_schema = sch
+        if lookahead is None:
+            lookahead = 1 if batch else 8
+        return self._replay_groups(groups, max(1, int(lookahead)), source,
+                                   **apply_kwargs)
+
+    def _replay_groups(self, groups: list["_ReplayGroup"], window: int,
+                       source=None, batch_size: int = 8192,
+                       **apply_kwargs) -> list[EpochResult]:
+        """The one replay driver: apply ``groups`` in order, one commit
+        each, while converting up to ``window`` groups ahead.
+
+        Conversion is one raw Ray task per part file (or row-group range,
+        :func:`_convert_units`); its blocks stay in plasma and reach
+        ``apply_epoch`` as refs, so the cluster runs the next groups'
+        conversions around this group's exchange tasks with no driver
+        threads at all — the driver-side analog of the reference's
+        consumer-thread prefetch (``GetGeoMesaKafkaRecord.scala:263-304``:
+        Kafka threads accumulate the next batch while onTrigger writes the
+        current one). Commit order, schema-evolution boundaries and crash
+        semantics are those of applying each group alone: conversion is
+        pure, only commits are serialized.
+
+        A group converts ahead with the stored schema it will meet, from
+        the lazily-extended :class:`_SchemaTimeline`. A group that cannot
+        be planned (incompatible schema, unreadable footer, or read from a
+        Source) converts inside its own ``apply_epoch``, which raises the
+        real error with every earlier group committed; a planned group
+        whose post-apply stored schema diverges from the timeline (lake
+        changed underneath) raises ``SchemaError``."""
         timeline = _SchemaTimeline(self.table.schema, self.compatibility,
-                                   incoming)
-
-        def build(files: list[str], schema: pa.Schema):
-            convert = self._make_convert(schema)
-            return ray.data.read_parquet(files).map_batches(
-                convert, batch_format="pyarrow", batch_size=batch_size
-            )
-
-        try:  # warm thread-unsafe lazy imports before the background threads run
-            import fsspec.implementations.http  # noqa: F401
-        except Exception:
-            # When aiohttp is absent this import FAILS — and failed imports
-            # are retried on every call, so the concurrent read_parquet
-            # plan constructions in the prefetch threads race on the
-            # half-initialized module and raise ImportError ("cannot import
-            # name HTTPFileSystem"), which escapes Ray's
-            # ModuleNotFoundError guard (ray/data/datasource/path_util.py
-            # _is_http_filesystem). Install a minimal stable stub so the
-            # import resolves deterministically; isinstance checks against
-            # the stub class are simply False (no http filesystem in play).
-            import sys as _sys
-            import types as _types
-
-            if "fsspec.implementations.http" not in _sys.modules:
-                try:
-                    import fsspec.implementations  # noqa: F401
-
-                    _mod = _types.ModuleType("fsspec.implementations.http")
-
-                    class _StubHTTPFileSystem:  # pragma: no cover
-                        """Import-race placeholder. isinstance checks are
-                        False (the intent); anything actually trying to USE
-                        an http filesystem must get fsspec's own error, not
-                        an opaque AttributeError from an empty class."""
-
-                        def __init__(self, *a, **kw):
-                            raise ImportError(
-                                "HTTPFileSystem requires aiohttp, which is "
-                                "not installed (stubbed by "
-                                "geomesa_nifi_ray.engine to stabilize a "
-                                "failed-import retry race)")
-
-                    _mod.HTTPFileSystem = _StubHTTPFileSystem
-                    _mod.__geomesa_nifi_ray_stub__ = True
-                    _sys.modules["fsspec.implementations.http"] = _mod
-                except Exception:
-                    pass
-
-        # Task-based conversion path: when every part file is modest, skip
-        # Ray Data entirely for the conversion — submit one raw Ray task per
-        # (epoch, file), windowed ``window`` epochs ahead, and hand each
-        # epoch's block refs straight to the exchange via RefBlocks. This
-        # removes BOTH residual sequential-replay overheads the
-        # thread-prefetch design carries: the per-epoch Dataset pipeline
-        # ramp (~0.3-0.5 s each) and the driver-GIL contention between
-        # concurrent streaming executors (measured 0.4 s stalls between a
-        # conversion finishing and its apply starting). Oversized files
-        # (>64 MB — a task would under-parallelize) keep the thread path.
-        if _small_local_parts(f for _, fls in plans for f in fls):
-            # default window 8 (tasks are cheap to keep in flight); an
-            # explicit caller value is honored — it is the documented bound
-            # on how many epochs' converted blocks are alive at once
-            return self._replay_raw_tasks(
-                plans, timeline, mode, batch_size,
-                window=8 if lookahead is None else max(1, int(lookahead)),
-                **apply_kwargs)
-
-        results: list[EpochResult] = []
-        lookahead = 3 if lookahead is None else max(1, int(lookahead))
-        with ThreadPoolExecutor(max_workers=lookahead) as ex:
-            futs: dict[int, object] = {}
-
-            def submit(j: int) -> None:
-                if j < len(plans) and j not in futs:
-                    # timeline extension happens HERE on the main thread
-                    # (merge_schemas is cheap and not thread-safe to
-                    # interleave); an unplannable epoch gets no prefetch —
-                    # its own apply_epoch raises at the right cursor
-                    jschema = timeline.schema_after(j)
-                    if jschema is None:
-                        return
-                    jfiles = plans[j][1]
-                    # plan construction AND materialize both run in the
-                    # background: read_parquet's fragment sampling costs
-                    # ~0.15 s/epoch of driver time, which serialized on the
-                    # main thread is most of the sequential/catch-up gap.
-                    # Thread-unsafe lazy imports are warmed above.
-                    futs[j] = ex.submit(
-                        lambda f=jfiles, s=jschema: build(f, s).materialize()
-                    )
-
-            for j in range(min(lookahead, len(plans)) if len(plans) > 1 else 0):
-                submit(j)
-            for i, (e, files) in enumerate(plans):
-                schema_after = timeline.schema_after(i)
-                conv = (futs.pop(i).result() if i in futs
-                        else (build(files, schema_after).materialize()
-                              if schema_after is not None else None))
-                submit(i + lookahead)
-                r = self.apply_epoch(
-                    files,
-                    epoch=int(e["epoch"]),
-                    offset_range=(e["offset_min"], e["offset_max"]),
-                    mode=mode,
-                    batch_size=batch_size,
-                    rows_hint=e.get("rows"),
-                    _converted=conv,
-                    **apply_kwargs,
-                )
-                if r is not None:
-                    if conv is not None and not self.table.schema.equals(
-                            schema_after):
-                        raise SchemaError(
-                            "stored schema diverged from the precomputed timeline"
-                        )
-                    # unplanned-but-applied epoch: re-seed so later epochs
-                    # prefetch again (no-op when planned)
-                    timeline.mark_applied(i, self.table.schema)
-                    results.append(r)
-        return results
-
-    def _replay_raw_tasks(self, plans, timeline, mode: str, batch_size: int,
-                          window: int = 8, **apply_kwargs) -> list[EpochResult]:
-        """Sequential replay with task-based conversion (see
-        ``_replay_pipelined``): one raw Ray task per part file converts and
-        leaves its block in plasma; ``apply_epoch`` consumes each epoch's
-        refs through :class:`RefBlocks`. Conversion tasks for up to
-        ``window`` epochs are in flight at once (bounding object-store
-        residency of converted winners), and the cluster schedules them
-        fairly around each epoch's exchange tasks — the applies overlap the
-        remaining conversions with no driver threads at all. Commit order,
-        schema timeline and crash semantics are identical to the serial
-        path; the converted content is identical too (the convert fn runs
-        on the same ``batch_size`` row slices)."""
-        import ray
-
-        convert_task = _task(_convert_file)
-        epoch_refs: dict[int, list] = {}
+                                   [g.plan for g in groups])
+        ahead: dict[int, list] = {}
 
         def submit(j: int) -> None:
-            if j < len(plans) and j not in epoch_refs:
-                jschema = timeline.schema_after(j)
-                if jschema is None:  # unplannable: apply_epoch raises at j
-                    return
-                conv_ref = ray.put(self._make_convert(jschema))
-                epoch_refs[j] = [
-                    convert_task.remote(f, conv_ref, batch_size)
-                    for f in plans[j][1]
-                ]
+            if j >= len(groups) or j in ahead or groups[j].plan is None:
+                return
+            sch = timeline.schema_after(j)
+            if sch is None:   # unplannable: apply_epoch raises at j
+                return
+            ahead[j] = self._submit_convert(
+                sch, batch_size, _convert_units(groups[j].files))
 
-        for j in range(min(window, len(plans))):
+        for j in range(window):
             submit(j)
         results: list[EpochResult] = []
-        for i, (e, files) in enumerate(plans):
-            refs = epoch_refs.pop(i, None)
+        for i, g in enumerate(groups):
+            refs = ahead.pop(i, None)
             submit(i + window)
+            first, last = g.epochs[0], g.epochs[-1]
             r = self.apply_epoch(
-                files,
-                epoch=int(e["epoch"]),
-                offset_range=(e["offset_min"], e["offset_max"]),
-                mode=mode,
+                g.files if g.files is not None else source.read(first),
+                epoch=int(last["epoch"]),
+                offset_range=(first["offset_min"], last["offset_max"]),
+                mode=g.mode,
                 batch_size=batch_size,
-                rows_hint=e.get("rows"),
-                _converted=RefBlocks(refs) if refs is not None else None,
+                epochs_covered=(int(first["epoch"]), int(last["epoch"])),
+                rows_hint=(sum(int(e["rows"]) for e in g.epochs)
+                           if all("rows" in e for e in g.epochs) else None),
+                _converted=refs,
                 **apply_kwargs,
             )
             if r is not None:
@@ -2552,9 +2162,9 @@ class CDCEngine:
                     raise SchemaError(
                         "stored schema diverged from the precomputed timeline"
                     )
-                # unplanned-but-applied epoch: re-seed so later epochs
-                # pre-convert again (no-op when planned); the skipped
-                # prefetches refill within one `window` of epochs
+                # an unplanned group that applied anyway (input fixed
+                # between planning and apply) re-seeds the timeline so
+                # later groups convert ahead again; no-op when planned
                 timeline.mark_applied(i, self.table.schema)
                 results.append(r)
         return results
@@ -2632,8 +2242,8 @@ class CDCEngine:
         timeout + min/max batch envelope (``GetGeoMesaKafkaRecord.scala:
         263-304``): arrival batching is epoch-granular, offsets advance
         only at commit, and a crash at any poll boundary resumes exactly
-        (commit log cursor). Backpressure inside an epoch is Ray Data's
-        streaming executor; across epochs it's this loop's seriality.
+        (commit log cursor). Backpressure is the replay's ``lookahead``
+        window of converted groups and this loop's seriality.
         """
         import time as _time
 

@@ -203,7 +203,7 @@ def q_cdc_mirror_snapshot(sf_dir: str):
 
 def q_cdc_domain_stats(sf_dir: str):
     """Per-host page counts over the lake's LWW winners — the hot-host
-    skew monitor for the salted exchange (the synth binlog concentrates
+    skew monitor for the bucket exchange (the synth binlog concentrates
     traffic on a Zipf-hot ``host000``). Vectorized host extraction
     (one RE2 ``extract_regex`` per batch), per-batch partial counts, then
     one small groupby over hosts — the shuffle carries (host, n) pairs,

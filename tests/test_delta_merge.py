@@ -114,19 +114,43 @@ def test_late_event_loses_to_stored_winner(ray_session, tmp_path):
     assert by_url["u2"] == "y"      # newer ts won
 
 
-def test_late_exchange_matches_sort_exchange(ray_session, tmp_path, binlog):
-    """The late-materialized keyed exchange (keys shuffle + winner payload
-    fetch) must produce the byte-identical lake as the Dataset sort
-    exchange — snapshots AND manifests."""
-    late = CDCEngine(str(tmp_path / "lk_late"), num_buckets=8)
-    late.replay_binlog(binlog, exchange="late")
-    sort = CDCEngine(str(tmp_path / "lk_sort"), num_buckets=8)
-    sort.replay_binlog(binlog, exchange="sort")
-    assert late.table.snapshot_table().equals(sort.table.snapshot_table())
+def _replayed(tmp_path, binlog, name, **kw):
+    eng = CDCEngine(str(tmp_path / name), num_buckets=8)
+    eng.replay_binlog(binlog, **kw)
+    return eng
+
+
+def _assert_same_lake(a, b, counters=True):
+    """Same snapshot, and the same manifests bucket for bucket. With
+    ``counters=False`` each bucket's ``rows_changed`` is left out: the late
+    exchange hands the merge one winner per key, while split hands it the
+    per-batch winners, so the two count the merge input differently once
+    an epoch spans several convert batches."""
+    assert a.table.snapshot_table().equals(b.table.snapshot_table())
     for e in range(6):
-        ml, ms = late.table.manifest(e), sort.table.manifest(e)
-        assert ml["buckets"] == ms["buckets"], e
-        assert (ml["rows_failed"], ml["rows_in"]) == (ms["rows_failed"], ms["rows_in"])
+        ma, mb = a.table.manifest(e), b.table.manifest(e)
+        ba, bb = ma["buckets"], mb["buckets"]
+        if not counters:
+            ba, bb = ({k: {f: v for f, v in ent.items() if f != "rows_changed"}
+                       for k, ent in m.items()} for m in (ba, bb))
+        assert ba == bb, e
+        assert (ma["rows_failed"], ma["rows_in"]) == (mb["rows_failed"], mb["rows_in"])
+
+
+def test_late_exchange_matches_split_exchange(ray_session, tmp_path, binlog):
+    """The late-materialized keyed exchange (keys shuffle + winner payload
+    fetch) must produce the byte-identical lake as the split exchange —
+    snapshots AND manifests — at the default batch size and in the large
+    band, where split runs one merge task per bucket."""
+    late = _replayed(tmp_path, binlog, "lk_late", exchange="late")
+    split = _replayed(tmp_path, binlog, "lk_split")
+    assert (late.last_exchange_strategy, split.last_exchange_strategy) == (
+        "late", "split")
+    _assert_same_lake(late, split)
+    # 500-row epochs > 8 x batch(4) x P(8) rows: the large band
+    late = _replayed(tmp_path, binlog, "lk_late4", exchange="late", batch_size=4)
+    split = _replayed(tmp_path, binlog, "lk_split4", batch_size=4)
+    _assert_same_lake(late, split, counters=False)
 
 
 def test_late_exchange_catchup_and_resume(ray_session, tmp_path, binlog):
@@ -155,15 +179,18 @@ def test_delta_snapshot_dataset_column_pruned(ray_session, tmp_path, binlog):
     assert sorted(df["url"]) == sorted(full["url"].to_pylist())
 
 
-def test_split_exchange_matches_sort_exchange(ray_session, tmp_path, binlog):
-    """The two-wave split exchange (and its single-node one-wave collapse)
-    must produce the byte-identical lake as the sort exchange."""
-    split = CDCEngine(str(tmp_path / "lk_split"), num_buckets=8)
-    split.replay_binlog(binlog, exchange="split")
-    sort = CDCEngine(str(tmp_path / "lk_sort2"), num_buckets=8)
-    sort.replay_binlog(binlog, exchange="sort")
-    assert split.table.snapshot_table().equals(sort.table.snapshot_table())
-    for e in range(6):
-        ms_, mo = split.table.manifest(e), sort.table.manifest(e)
-        assert ms_["buckets"] == mo["buckets"], e
-        assert (ms_["rows_failed"], ms_["rows_in"]) == (mo["rows_failed"], mo["rows_in"])
+def test_split_exchange_groups_match_single_group(ray_session, tmp_path,
+                                                  binlog, monkeypatch):
+    """Split with one merge task per bucket (G = P, the large band, reached
+    with a small batch) and with one merge task for the whole epoch
+    (G = 1) must produce the byte-identical lake, manifests included."""
+    from geomesa_nifi_ray import engine as eng_mod
+
+    orig, seen = eng_mod._split_groups, []
+    monkeypatch.setattr(eng_mod, "_split_groups",
+                        lambda *a: seen.append(orig(*a)) or seen[-1])
+    wide = _replayed(tmp_path, binlog, "lk_wide", batch_size=4)
+    assert seen == [8] * 6
+    monkeypatch.setattr(eng_mod, "_split_groups", lambda *a: 1)
+    narrow = _replayed(tmp_path, binlog, "lk_narrow", batch_size=4)
+    _assert_same_lake(wide, narrow)

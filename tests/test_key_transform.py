@@ -115,7 +115,7 @@ def test_exactly_once_resume_bit_identity(tmp_path, ray_session):
     assert digest.to_pydict() == again.to_pydict()
 
 
-@pytest.mark.parametrize("exchange", ["sort", "late", "split"])
+@pytest.mark.parametrize("exchange", ["late", "split"])
 def test_transform_composes_with_every_exchange(tmp_path, ray_session,
                                                 exchange):
     """The canonical-key collapse happens in convert, BEFORE the keyed
@@ -124,7 +124,7 @@ def test_transform_composes_with_every_exchange(tmp_path, ray_session,
     which shuffle carried the winners)."""
     import ray.data
 
-    ref = _replay(tmp_path)  # auto-selected strategy (tiny epochs)
+    ref = _replay(tmp_path)  # auto-selected strategy (one merge task)
     eng = CDCEngine(str(tmp_path / f"lake_{exchange}"), num_buckets=4,
                     key_transform="normalize_url")
     eng.apply_epoch(ray.data.from_arrow(_events(MESSY)), 0, (0, 4),

@@ -33,12 +33,12 @@ def _update_only_binlog(tmp_path, n_epochs=3):
 
 def test_uniform_epoch_mode_wins_on_pipelined_path(ray_session, tmp_path):
     """Every epoch says 'update'; call-level default is 'upsert'. The
-    pipelined path (pipelined=True, >1 epoch, not mixed) must apply update
+    windowed per-epoch replay (>1 epoch, not catch-up) must apply update
     semantics: against an empty lake every row is unmatched -> skipped and
     counted failed, zero rows applied."""
     meta = _update_only_binlog(tmp_path)
     eng = CDCEngine(str(tmp_path / "lake"), num_buckets=4)
-    results = eng.replay_binlog(meta, pipelined=True)
+    results = eng.replay_binlog(meta)
     assert len(results) == 3
     assert all(r.manifest["mode"] == "update" for r in results)
     assert all(r.rows_failed > 0 for r in results)
@@ -56,11 +56,17 @@ def test_uniform_epoch_mode_wins_on_catchup_path(ray_session, tmp_path):
 
 
 def test_uniform_epoch_mode_serial_unchanged(ray_session, tmp_path):
+    """Mixed modes, even under catch-up: one commit per epoch, each with
+    its own mode — the upsert epoch lands, the update epochs after it
+    only touch keys it created."""
     meta = _update_only_binlog(tmp_path)
+    meta["epochs"][0]["mode"] = "upsert"
     eng = CDCEngine(str(tmp_path / "lake"), num_buckets=4)
-    results = eng.replay_binlog(meta, pipelined=False)
-    assert all(r.manifest["mode"] == "update" for r in results)
-    assert eng.table.snapshot_dataset().count() == 0
+    results = eng.replay_binlog(meta, catchup=True)
+    assert [r.manifest["mode"] for r in results] == ["upsert", "update", "update"]
+    first = set(eng.table.manifest(0)["buckets"])
+    assert eng.table.snapshot_dataset().count() == results[0].table_rows
+    assert set(eng.table.manifest(2)["buckets"]) == first
 
 
 # ---------------------------------------------------------------- fix 2 --
@@ -383,7 +389,7 @@ def test_hot_view_sees_pending_committed_unchanged(ray_session, tmp_path):
         convert, batch_format="pyarrow").materialize()
     merger = make_bucket_merger(eng.table, 1, eng.table.live_entries(),
                                 mode="upsert", max_deltas=4, sink=eng.sink)
-    run_split_exchange(mat, merger, 4)
+    run_split_exchange(mat.to_arrow_refs(), merger, 4, num_groups=4)
 
     # committed view: byte-identical to before the in-flight epoch
     assert eng.table.snapshot_table().equals(committed_before)

@@ -217,20 +217,20 @@ def _events_table(n, base_off=0):
 def test_large_upsert_defaults_late_on_multinode(ray_session, tmp_path,
                                                  monkeypatch):
     """With no explicit exchange argument, a large upsert epoch must pick
-    the late exchange when >1 Ray node is alive, and the sort exchange on
-    one node — with identical manifests either way."""
+    the late exchange when >1 Ray node is alive, and the split exchange on
+    one node — with identical table state either way."""
     import ray.data
 
     import geomesa_nifi_ray.engine as eng_mod
 
     n = 400   # > 8 * batch_size(8) * P(2) = 128 -> "large" band
 
-    # single node: sort stays the default
+    # single node: split
     eng1 = CDCEngine(str(tmp_path / "lake1"), num_buckets=2)
     monkeypatch.setattr(eng_mod, "_alive_node_count", lambda: 1)
     eng1.apply_epoch(ray.data.from_arrow(_events_table(n)), epoch=0,
                      offset_range=(0, n - 1), batch_size=8)
-    assert eng1.last_exchange_strategy == "sort"
+    assert eng1.last_exchange_strategy == "split"
 
     # "multi-node": late becomes the default
     eng2 = CDCEngine(str(tmp_path / "lake2"), num_buckets=2)
@@ -252,22 +252,35 @@ def test_exchange_autoselect_respects_explicit_and_bands(ray_session,
 
     import geomesa_nifi_ray.engine as eng_mod
 
-    monkeypatch.setattr(eng_mod, "_alive_node_count", lambda: 4)
+    probes, tasks = [], []
+    monkeypatch.setattr(eng_mod, "_alive_node_count",
+                        lambda: probes.append(1) or 4)
+    orig_task = eng_mod._task
+    monkeypatch.setattr(eng_mod, "_task",
+                        lambda fn: tasks.append(fn.__name__) or orig_task(fn))
     eng = CDCEngine(str(tmp_path / "lake"), num_buckets=2)
-    # tiny epoch stays on the single-task path even on multi-node
+    # a small epoch is one merge task even on multi-node, with no node
+    # probe (no ray.nodes() round trip per tail commit)
     eng.apply_epoch(ray.data.from_arrow(_events_table(8)), epoch=0,
                     offset_range=(0, 7), batch_size=8)
-    assert eng.last_exchange_strategy == "tiny"
-    # explicit sort wins over the multi-node default
+    assert eng.last_exchange_strategy == "split"
+    assert probes == []
+    assert tasks.count("_merge_group_direct") == 1
+    assert "_merge_parts" not in tasks and "_split_block" not in tasks
+    # explicit split wins over the multi-node default
     eng.apply_epoch(ray.data.from_arrow(_events_table(400, base_off=1000)),
                     epoch=1, offset_range=(1000, 1399), batch_size=8,
-                    exchange="sort")
-    assert eng.last_exchange_strategy == "sort"
+                    exchange="split")
+    assert eng.last_exchange_strategy == "split"
+    # the sort exchange is gone: asking for it is an error
+    with pytest.raises(ValueError, match="unknown exchange"):
+        eng.apply_epoch(ray.data.from_arrow(_events_table(8, base_off=3000)),
+                        epoch=2, offset_range=(3000, 3007), exchange="sort")
     # update mode never takes the late exchange
     eng.apply_epoch(ray.data.from_arrow(_events_table(400, base_off=2000)),
                     epoch=2, offset_range=(2000, 2399), batch_size=8,
                     mode="update")
-    assert eng.last_exchange_strategy in ("sort", "split")
+    assert eng.last_exchange_strategy == "split"
 
 
 # ----------------- round-4 verdict #4/#5: sampling kernels + layouts ---
@@ -508,7 +521,7 @@ def test_contamination_accepts_iterator_blocklist(ray_session):
 
 def test_pipelined_replay_honors_explicit_lookahead(tmp_path, ray_session,
                                                     monkeypatch):
-    """An explicit lookahead=1 must reach the raw-task path as window=1
+    """An explicit lookahead=1 must reach the replay driver as window=1
     (the documented bound on live converted epochs), not be floored to 8."""
     from geomesa_nifi_ray import engine as eng_mod
     from geomesa_nifi_ray.synth import BinlogSpec, write_binlog
@@ -517,14 +530,13 @@ def test_pipelined_replay_honors_explicit_lookahead(tmp_path, ray_session,
                         BinlogSpec(num_events=600, num_urls=120, num_epochs=2))
     eng = eng_mod.CDCEngine(str(tmp_path / "lake"), num_buckets=4)
     seen = {}
-    orig = eng_mod.CDCEngine._replay_raw_tasks
+    orig = eng_mod.CDCEngine._replay_groups
 
-    def spy(self, plans, timeline, mode, batch_size, window, **kw):
+    def spy(self, groups, window, *a, **kw):
         seen["window"] = window
-        return orig(self, plans, timeline, mode, batch_size,
-                    window=window, **kw)
+        return orig(self, groups, window, *a, **kw)
 
-    monkeypatch.setattr(eng_mod.CDCEngine, "_replay_raw_tasks", spy)
+    monkeypatch.setattr(eng_mod.CDCEngine, "_replay_groups", spy)
     eng.replay_binlog(meta, catchup=False, lookahead=1)
     assert seen.get("window") == 1
 

@@ -8,8 +8,8 @@
 2. (moved: the multi-bucket merger's grouping is covered by
    ``tests/test_merge_kernel.py``.)
 3. Explicit ``exchange=`` requests are validated (unknown name,
-   late+salted_reduce, late+update-mode, late+per-row ``_mode``) and an
-   explicit ``split`` is honored even for tiny epochs.
+   late+update-mode, late+per-row ``_mode``) and an explicit ``split`` is
+   honored even for tiny epochs.
 4. ``rewrite_epoch`` retry semantics: a re-run at or below the committed
    cursor is a no-op (never applies ``fn`` twice), and a lake with a
    fully-deleted bucket rewrites cleanly (``pc.all`` over an empty
@@ -125,10 +125,6 @@ def test_exchange_requests_validated(ray_session, tmp_path):
     ds = ray.data.from_arrow(t)
     with pytest.raises(ValueError, match="unknown exchange"):
         eng.apply_epoch(ds, epoch=0, exchange="bogus")
-    with pytest.raises(ValueError, match="salted_reduce"):
-        eng.apply_epoch(ds, epoch=0, exchange="late", salted_reduce=True)
-    with pytest.raises(ValueError, match="salted_reduce"):
-        eng.apply_epoch(ds, epoch=0, exchange="split", salted_reduce=True)
     with pytest.raises(ValueError, match="upsert"):
         eng.apply_epoch(ds, epoch=0, exchange="late", mode="update")
 

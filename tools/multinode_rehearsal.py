@@ -16,7 +16,7 @@ This script:
 3. prints one JSON line: payload bytes vs key/winner/extract bytes (the
    O(keys + winners) claim) and the fraction of extract tasks that ran on
    the node owning their block (the node-locality claim);
-4. cross-checks the resulting lake manifests against a single-node sort-
+4. cross-checks the resulting lake manifests against a single-node split-
    exchange replay (bit-identical buckets).
 
 Run: ``python tools/multinode_rehearsal.py`` (~2-3 min). Results recorded
@@ -83,29 +83,29 @@ def main():
         assert auto == "late", f"expected auto 'late' on 2 nodes, got {auto}"
         n_events = int(meta["total_rows"])
 
-        # single-node sort-exchange control for manifest equality
+        # single-node split-exchange control for manifest equality
         ray.shutdown()
         _ray_cli("stop", "--force")
         time.sleep(2)
         ray.init(address="local", num_cpus=32, include_dashboard=False,
                  logging_level="ERROR")
-        lake2 = "/tmp/graft_multinode/lake_sort"
+        lake2 = "/tmp/graft_multinode/lake_split"
         shutil.rmtree(lake2, ignore_errors=True)
         ctl = CDCEngine(lake2, num_buckets=32)
-        ctl.replay_binlog(meta, catchup=True, exchange="sort")
+        ctl.replay_binlog(meta, catchup=True, exchange="split")
         last = eng.table.committed_epoch()
         m_late = eng.table.manifest(last)
-        m_sort = ctl.table.manifest(last)
+        m_split = ctl.table.manifest(last)
         # compare table STATE (files, digests, row counts); the
         # `rows_changed` accounting legitimately differs in catch-up: the
         # late exchange pre-selects winners so its merge input is the
-        # deduped set, while the sort path's merge sees cross-epoch
+        # deduped set, while the split path's merge sees cross-epoch
         # duplicates. Digest equality proves byte-identical bucket files.
         state = lambda m: {
             b: (e["file"], e["digest"], e["rows"], tuple(e.get("deltas", [])))
             for b, e in m["buckets"].items()
         }
-        identical = state(m_late) == state(m_sort)
+        identical = state(m_late) == state(m_split)
         ray.shutdown()
 
         payload = max(1, stats.get("payload_bytes", 0))
@@ -122,7 +122,7 @@ def main():
             "extract_locality": round(
                 stats.get("extract_colocated", 0)
                 / max(1, stats.get("extract_pairs", 1)), 3),
-            "manifests_match_single_node_sort": bool(identical),
+            "manifests_match_single_node_split": bool(identical),
         }
         print(json.dumps(out))
     finally:
