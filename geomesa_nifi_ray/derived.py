@@ -246,14 +246,14 @@ def epoch_group_delta_dataset(table: LakeTable, col: str, epoch: int,
     prev_entries = table.live_entries(prev_epoch) if prev_epoch is not None else {}
     touched = []
     for b, e in m["buckets"].items():
-        if int(e.get("rows_changed", 0)) <= 0:
+        new = LakeTable.epoch_ref(e)
+        if int(e.get("rows_changed", 0)) <= 0 or new is None:
             continue
-        epoch_file = e.get("epoch_file") or e["file"]
         prev = prev_entries.get(int(b))
         touched.append({
-            "new_file": table.abs_path(epoch_file),
-            "old_files": [table.abs_path(f)
-                          for f in LakeTable.chain_files(prev)] if prev else [],
+            "new": (table.abs_path(new[0]), new[1]),
+            "old": [(table.abs_path(p), r)
+                    for p, r in LakeTable.chain_refs(prev)] if prev else [],
         })
     if not touched:
         return None
@@ -272,19 +272,21 @@ def epoch_group_delta_dataset(table: LakeTable, col: str, epoch: int,
     lake_fs = table.fs
 
     def bucket_delta(batch: pa.Table) -> pa.Table:
-        from geomesa_nifi_ray.lake import TOMB_COLUMN, merge_chain_tables
+        from geomesa_nifi_ray.lake import (
+            TOMB_COLUMN,
+            merge_chain_tables,
+            read_chains,
+        )
 
         outs = []
         for i in batch["i"].to_pylist():
             spec = touched[i]
-            names = set(lake_fs.read_parquet_schema(spec["new_file"]).names)
-            has_col = col in names
-            cols_n = [key, "offset"] + ([col] if has_col else []) + (
-                [value_col] if value_col is not None and value_col in names
-                and value_col not in (key, col, "offset") else []) + (
-                [TOMB_COLUMN] if TOMB_COLUMN in names else [])
-            new = lake_fs.read_parquet(spec["new_file"], columns=cols_n)
-            if not has_col:
+            # the epoch's ref alone: only the row groups of a segment its
+            # range overlaps; columns project leniently
+            [[new]], _, _ = read_chains(
+                lake_fs, [[spec["new"]]],
+                [key, "offset", col] + ([value_col] if value_col else []))
+            if col not in new.column_names:
                 # pre-evolution epoch file without the GROUP column: rows
                 # get a null group, which the partials skip — same rule as
                 # the rebuild path's null-filled projection
@@ -317,10 +319,8 @@ def epoch_group_delta_dataset(table: LakeTable, col: str, epoch: int,
                 plus = _partial_agg(live_new.select(sel), col,
                                     value_col, value_kernel)
                 outs.append(plus)
-            if spec["old_files"]:
-                from geomesa_nifi_ray.lake import read_chain_tables
-
-                old = read_chain_tables(lake_fs, spec["old_files"], prev_cols)
+            if spec["old"]:
+                [old], _, _ = read_chains(lake_fs, [spec["old"]], prev_cols)
                 # tombstone-aware LWW: a deleted key yields no prev row
                 prev_tbl = merge_chain_tables(
                     old, prev_schema, lww_key, lww_order)
@@ -598,8 +598,8 @@ class KeyedGroupCountView:
         if not by_bucket:
             return {}
         specs = [
-            {"files": [vt.abs_path(f)
-                       for f in LakeTable.chain_files(live[b])],
+            {"refs": [(vt.abs_path(p), r)
+                      for p, r in LakeTable.chain_refs(live[b])],
              "keys": ks}
             for b, ks in sorted(by_bucket.items())
         ]
@@ -611,13 +611,13 @@ class KeyedGroupCountView:
         lake_fs = vt.fs
 
         def lookup(batch: pa.Table) -> pa.Table:
-            from geomesa_nifi_ray.lake import read_chain_tables
+            from geomesa_nifi_ray.lake import read_chains
 
             outs = []
             for i in batch["i"].to_pylist():
                 spec = specs[i]
-                tabs = read_chain_tables(lake_fs, spec["files"],
-                                         ("k", "n", "offset"))
+                [tabs], _, _ = read_chains(lake_fs, [spec["refs"]],
+                                           ("k", "n", "offset"))
                 merged = merge_chain_tables(tabs, schema, "k", ["offset"])
                 hit = merged.filter(
                     pc.is_in(merged["k"], value_set=pa.array(spec["keys"])))
@@ -677,8 +677,8 @@ class KeyedGroupCountView:
         live = vt.live_entries()
         nb = vt.num_buckets
         lake_fs = vt.fs
-        chain_specs = {int(b): [vt.abs_path(f)
-                                for f in LakeTable.chain_files(e)]
+        chain_specs = {int(b): [(vt.abs_path(p), r)
+                                for p, r in LakeTable.chain_refs(e)]
                        for b, e in live.items()}
         chain_schema = pa.schema([
             pa.field("k", pa.string()),
@@ -708,11 +708,12 @@ class KeyedGroupCountView:
             ks, dns = gb["k"].to_pylist(), gb["n_sum"].to_pylist()
             vb = int(g["vb"][0].as_py())
             old: dict[str, int] = {}
-            files = chain_specs.get(vb, [])
-            if files:
-                from geomesa_nifi_ray.lake import read_chain_tables
+            refs = chain_specs.get(vb, [])
+            if refs:
+                from geomesa_nifi_ray.lake import read_chains
 
-                tabs = read_chain_tables(lake_fs, files, ("k", "n", "offset"))
+                [tabs], _, _ = read_chains(lake_fs, [refs],
+                                           ("k", "n", "offset"))
                 merged = merge_chain_tables(tabs, chain_schema, "k", ["offset"])
                 hit = merged.filter(
                     pc.is_in(merged["k"], value_set=gb["k"].combine_chunks()))

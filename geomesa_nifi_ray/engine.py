@@ -34,7 +34,8 @@ Exchange strategies (equivalence tested manifest-for-manifest):
   selection -> node-local payload extraction -> merge; cluster network ∝
   deduped output (:func:`run_late_exchange`).
 
-Steady-state writes are delta files (winners only) with compaction at
+Steady-state writes are delta segments (winners only, one file per merge
+task and epoch, each bucket a row range of it) with compaction at
 ``max_deltas``; replay converts up to ``lookahead`` groups ahead of the
 one being merged and committed (:meth:`CDCEngine._replay_groups`).
 
@@ -56,7 +57,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from geomesa_nifi_ray.hashing import add_hash_and_bucket, digest_of_hashes
-from geomesa_nifi_ray.lake import TOMB_COLUMN, LakeTable
+from geomesa_nifi_ray.lake import TOMB_COLUMN, LakeTable, delta_ranges
 from geomesa_nifi_ray.schema import (
     CompatibilityMode,
     SchemaError,
@@ -102,7 +103,7 @@ MODE_COLUMN = "_mode"
 # ranked against upserts by the same (warc_ts, offset) LWW order — a later
 # upsert resurrects the key, a later delete wins over an earlier upsert.
 # Delete events carry no payload (html may be null without dead-lettering).
-# Steady-state deletes write TOMBSTONE rows into the normal delta files
+# Steady-state deletes write TOMBSTONE rows into the normal delta segments
 # (_tomb=1 marker; see lake.TOMB_COLUMN) — O(changes) IO like any upsert
 # delta; chain readers suppress tombstoned keys and compaction folds the
 # markers away. Equivalence with the full-merge path is tested
@@ -416,13 +417,17 @@ def make_generic_convert_fn(stored_schema: pa.Schema, num_buckets: int, key: str
     return convert
 
 
-# One lineage row per touched bucket: the manifest entry the merge produced,
-# its row accounting, and the delta path's chain-read row-group counters.
+# One lineage row per touched bucket: the manifest entry the merge produced
+# (``deltas``/``delta_ranges``/``epoch_file_range`` as JSON), its row
+# accounting, and the delta path's chain-read row-group counters (one
+# merger call's totals, on its first delta-path bucket).
 LINEAGE_SCHEMA = pa.schema([
     pa.field("bucket", pa.int32()),
     pa.field("file", pa.string()),
     pa.field("deltas", pa.string()),
+    pa.field("delta_ranges", pa.string()),
     pa.field("epoch_file", pa.string()),
+    pa.field("epoch_file_range", pa.string()),
     pa.field("rows", pa.int64()),
     pa.field("rows_changed", pa.int64()),
     pa.field("rows_failed", pa.int64()),
@@ -452,21 +457,26 @@ def make_bucket_merger(table: LakeTable, epoch: int, live: dict[int, dict],
     Steady-state upsert buckets take the **delta path**, decided for all
     of them in one vectorized pass: the ``_dead``/``_op``/``_mode``
     filters, projection and LWW run once over the whole input (keys never
-    span buckets); each bucket's chain is read as ``(key, order…, _tomb)``
-    only, row-group pruned to the epoch's keys, and the chains are
-    concatenated; one ``pc.index_in`` join plus one ``lex_ge`` decides
-    which change rows beat their stored winners
-    (:func:`~geomesa_nifi_ray.upsert.beats_stored`); the kept rows are
-    sorted once by (bucket, key) and sliced into one
-    ``delta-<epoch>.parquet`` per bucket. IO is O(changes +
-    keys·3cols), not O(bucket), and a bucket is never rewritten wholesale
-    (cf. the reference's incremental pooled-writer flush,
-    ``FeatureWriters.scala:197-260``). A bucket **compacts** instead —
-    full chain merge, key-sorted rewrite, chain reset — at creation, when
-    its chain reaches ``max_deltas``, in partial-update mode, when it
-    holds update-tagged ``_mode`` rows, and when it saw only dead rows.
-    Snapshot readers merge base+deltas per bucket (LWW with position
-    tiebreak), so logical state is identical either way.
+    span buckets); all their chains are read in ONE sink call as
+    ``(key, order…, _tomb)`` only, each distinct file opened once and
+    row-group pruned to the epoch's keys; one ``pc.index_in`` join plus
+    one ``lex_ge`` decides which change rows beat their stored winners
+    (:func:`~geomesa_nifi_ray.upsert.beats_stored`); the kept rows, sorted
+    once by (bucket, key), are written by ONE sink call as one **delta
+    segment** per merge task and epoch
+    (:meth:`~geomesa_nifi_ray.lake.LakeTable.write_delta_segment`), and
+    each bucket's manifest entry appends ``(segment, [lo, hi))`` — its
+    row range in the segment — to its chain. IO is O(changes +
+    keys·3cols) in one file, not O(bucket) or O(buckets) files, and a
+    bucket is never rewritten wholesale (cf. the reference's incremental
+    pooled-writer flush, ``FeatureWriters.scala:197-260``). A bucket
+    **compacts** instead — full chain merge, key-sorted rewrite of its own
+    base file, chain reset — at creation, when its chain reaches
+    ``max_deltas``, in partial-update mode, when it holds update-tagged
+    ``_mode`` rows, and when it saw only dead rows; the compacting buckets
+    of a call read their chains in one sink call too. Snapshot readers
+    merge base+deltas per bucket (LWW with position tiebreak), so logical
+    state is identical either way.
 
     The live-entry map (one entry per bucket; can be large at high P) is
     broadcast once via ``ray.put`` rather than captured in the closure,
@@ -492,12 +502,6 @@ def make_bucket_merger(table: LakeTable, epoch: int, live: dict[int, dict],
     key, order = table.key, list(table.order)
     min_cols = [key] + order
     live_ref = ray.put(live)
-    # chain reads are key-pruned when the sink supports it: bucket files
-    # are key-sorted, so row groups whose [min,max] cannot contain any of
-    # this epoch's keys are skipped — a small epoch reads O(its key span),
-    # not O(touched chain). Pruning only drops rows whose keys the epoch
-    # does not touch; those never join against the change rows.
-    keyed_read = getattr(sink, "read_partition_keyed", None)
 
     def _lap(t0: float, name: str) -> float:
         """Add the time since ``t0`` to section ``name``; return now."""
@@ -506,35 +510,21 @@ def make_bucket_merger(table: LakeTable, epoch: int, live: dict[int, dict],
             sections[name] = sections.get(name, 0.0) + (now - t0)
         return now
 
-    def _lineage(bucket, file, deltas, epoch_file, rows, rows_changed,
+    def _lineage(bucket, file, chain, epoch_ref, rows, rows_changed,
                  failed, digest, deleted=0, rg_total=0, rg_skipped=0) -> dict:
+        """``chain`` is the entry's ``(path, range)`` delta refs, after
+        ``file``; ``epoch_ref`` what this epoch wrote, or ``None``."""
+        ep, ep_range = epoch_ref or (None, None)
         return {"bucket": int(bucket), "file": file,
-                "deltas": _json.dumps(deltas), "epoch_file": epoch_file,
+                "deltas": _json.dumps([p for p, _ in chain]),
+                "delta_ranges": _json.dumps([r for _, r in chain]),
+                "epoch_file": ep,
+                "epoch_file_range": (None if ep_range is None
+                                     else _json.dumps(ep_range)),
                 "rows": int(rows), "rows_changed": int(rows_changed),
                 "rows_failed": int(failed), "rows_deleted": int(deleted),
                 "digest": digest, "rg_total": int(rg_total),
                 "rg_skipped": int(rg_skipped)}
-
-    def _read_chain(entry, keys, target: pa.Schema
-                    ) -> tuple[list[pa.Table], int, int]:
-        """One bucket's chain as ``target`` = (key, order…, _tomb) tables,
-        oldest first, plus (row groups seen, row groups kept). The cast
-        gives every file the change rows' types: a chain file may predate
-        a widening of its column."""
-        parts, rg_total, rg_kept = [], 0, 0
-        for p in LakeTable.chain_files(entry):
-            if keyed_read is not None:
-                part, t_rg, k_rg = keyed_read(
-                    p, min_cols + [TOMB_COLUMN], key, keys)
-                rg_total += t_rg
-                rg_kept += k_rg
-            else:
-                part = sink.read_partition(p, columns=min_cols + [TOMB_COLUMN])
-            if TOMB_COLUMN not in part.column_names:
-                part = part.append_column(
-                    TOMB_COLUMN, pa.nulls(part.num_rows, pa.int8()).fill_null(0))
-            parts.append(part.select(target.names).cast(target))
-        return parts, rg_total, rg_kept
 
     def _delta_merge(t, b, rows, dels, buckets, entries, failed,
                      changed) -> list[dict]:
@@ -566,13 +556,24 @@ def make_bucket_merger(table: LakeTable, epoch: int, live: dict[int, dict],
         target = pa.schema([combined.schema.field(c) for c in min_cols]
                            + [pa.field(TOMB_COLUMN, pa.int8())])
         t0 = _lap(t0, "decide")
-        cur_parts, rg = [], []
-        for j, entry in enumerate(entries):
-            keys = (combined[key].slice(lo[j], hi[j] - lo[j]).to_pylist()
-                    if keyed_read is not None else None)   # sorted above
-            parts, rg_total, rg_kept = _read_chain(entry, keys, target)
-            cur_parts.extend(parts)
-            rg.append((rg_total, rg_total - rg_kept))
+        # one sink call reads every chain, each distinct file once. Bucket
+        # files are key-sorted, so row groups whose [min,max] cannot
+        # contain any of this epoch's keys are skipped — a small epoch
+        # reads O(its key span), not O(touched chain). Pruning only drops
+        # rows whose keys the epoch does not touch; those never join
+        # against the change rows.
+        chains, rg_total, rg_kept = sink.read_chains(
+            [LakeTable.chain_refs(e) for e in entries], min_cols, key,
+            [combined[key].slice(lo[j], hi[j] - lo[j]).to_pylist()
+             for j in range(len(entries))])            # sorted above
+        cur_parts = []
+        for part in (p for chain in chains for p in chain):
+            if TOMB_COLUMN not in part.column_names:
+                part = part.append_column(
+                    TOMB_COLUMN, pa.nulls(part.num_rows, pa.int8()).fill_null(0))
+            # the cast gives every file the change rows' types: a chain
+            # file may predate a widening of its column
+            cur_parts.append(part.select(target.names).cast(target))
         t0 = _lap(t0, "chain_read")
         # chain order is kept per bucket, so LWW's position tiebreak (a
         # later chain file wins an exact tie) holds across the concat
@@ -602,38 +603,45 @@ def make_bucket_merger(table: LakeTable, epoch: int, live: dict[int, dict],
         klo = np.searchsorted(kcb, buckets, side="left")
         khi = np.searchsorted(kcb, buckets, side="right")
         t0 = _lap(t0, "decide")
+        hashes = delta_all["content_hash"]
+        parts = [(int(buckets[j]), int(klo[j]), int(khi[j]),
+                  digest_of_hashes(
+                      hashes.slice(klo[j], khi[j] - klo[j]).to_pylist()))
+                 for j in range(len(buckets)) if khi[j] > klo[j]]
+        written = {}      # bucket -> (its (segment, range) ref, digest)
+        if parts:
+            seg = delta_all.drop_columns(["bucket"])
+            if not kept_tomb.any():
+                # no tombstones -> keep the historical delta file schema
+                seg = seg.drop_columns([TOMB_COLUMN])
+            refs = sink.write_deltas(seg, epoch, parts)
+            written = {b: (ref, d) for (b, _, _, d), ref in zip(parts, refs)}
         out = []
         for j, (bucket, entry) in enumerate(zip(buckets, entries)):
-            deltas = entry.get("deltas", [])
-            if khi[j] == klo[j]:
+            rg = ((rg_total, rg_total - rg_kept) if j == 0 else (0, 0))
+            deltas = LakeTable.chain_refs(entry)[1:]
+            if int(bucket) not in written:
                 # every change lost to the stored winners: chain unchanged
                 out.append(_lineage(bucket, entry["file"], deltas, None,
                                     entry["rows"], changed[j], failed[j],
-                                    entry["digest"], rg_total=rg[j][0],
-                                    rg_skipped=rg[j][1]))
+                                    entry["digest"], rg_total=rg[0],
+                                    rg_skipped=rg[1]))
                 continue
-            delta = delta_all.slice(klo[j], khi[j] - klo[j]).drop_columns(
-                ["bucket"])
-            if not kept_tomb[klo[j]:khi[j]].any():
-                # no tombstones -> keep the historical delta file schema
-                delta = delta.drop_columns([TOMB_COLUMN])
-            rel = sink.write_partition(delta, int(bucket), epoch, kind="delta")
-            digest = digest_of_hashes(delta["content_hash"].to_pylist())
-            out.append(_lineage(bucket, entry["file"], deltas + [rel], rel,
+            ref, digest = written[int(bucket)]
+            out.append(_lineage(bucket, entry["file"], [*deltas, ref], ref,
                                 int(entry["rows"]) + inserts[j] - deleted[j],
                                 changed[j], failed[j], digest, deleted[j],
-                                rg_total=rg[j][0], rg_skipped=rg[j][1]))
+                                rg_total=rg[0], rg_skipped=rg[1]))
         _lap(t0, "write")
         return out
 
-    def _full_merge(bucket, entry, changes, update_part, delete_part, failed,
+    def _full_merge(bucket, chain, changes, update_part, delete_part, failed,
                     rows_changed, row_modes) -> dict:
-        """Compaction path for one bucket: full chain merge and rewrite."""
+        """Compaction path for one bucket (``chain``: its chain's tables,
+        ``None`` for a new bucket): full chain merge and rewrite."""
         t0 = time.perf_counter()
         base = None
-        if entry:
-            chain = [sink.read_partition(p) for p in LakeTable.chain_files(entry)]
-            t0 = _lap(t0, "chain_read")
+        if chain is not None:
             base = table.merge_chain(chain, stored_schema)
         if row_modes:
             # upsert-destined rows first, then the update-tagged rows
@@ -687,8 +695,8 @@ def make_bucket_merger(table: LakeTable, epoch: int, live: dict[int, dict],
         rel = sink.write_partition(merged, bucket, epoch)
         digest = digest_of_hashes(merged["content_hash"].to_pylist())
         _lap(t0, "write")
-        return _lineage(bucket, rel, [], rel, merged.num_rows, rows_changed,
-                        failed, digest, rows_deleted)
+        return _lineage(bucket, rel, [], (rel, None), merged.num_rows,
+                        rows_changed, failed, digest, rows_deleted)
 
     def merge_buckets(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -762,12 +770,19 @@ def make_bucket_merger(table: LakeTable, epoch: int, live: dict[int, dict],
                 t, b, is_ch & in_delta, is_del & in_delta, buckets[d],
                 [entries[i] for i in d], n_failed[d], changed[d]))
         # full-merge path: creation, compaction, partial update, and
-        # update-tagged per-row modes
-        for i in np.flatnonzero(~use_delta):
+        # update-tagged per-row modes; the compacting buckets' chains are
+        # read in one sink call (a segment they share is read once)
+        full = np.flatnonzero(~use_delta)
+        t0 = time.perf_counter()
+        old = [i for i in full if entries[i] is not None]
+        chains = dict(zip(old, sink.read_chains(
+            [LakeTable.chain_refs(entries[i]) for i in old])[0])) if old else {}
+        _lap(t0, "chain_read")
+        for i in full:
             s0, s1 = int(bounds[i]), int(bounds[i + 1])
             part = t.slice(s0, s1 - s0)
             out.append(_full_merge(
-                int(buckets[i]), entries[i],
+                int(buckets[i]), chains.get(i),
                 part.filter(pa.array(is_ch[s0:s1])),
                 part.filter(pa.array(is_upd[s0:s1])),
                 part.filter(pa.array(is_del[s0:s1])),
@@ -1538,7 +1553,10 @@ class CDCEngine:
             buckets[str(b)] = {
                 "file": r["file"],
                 "deltas": _json.loads(r["deltas"]),
+                "delta_ranges": _json.loads(r["delta_ranges"]),
                 "epoch_file": r["epoch_file"],
+                "epoch_file_range": (None if r["epoch_file_range"] is None
+                                     else _json.loads(r["epoch_file_range"])),
                 "rows": int(r["rows"]),
                 "rows_changed": int(r["rows_changed"]),
                 "digest": r["digest"],
@@ -1549,7 +1567,9 @@ class CDCEngine:
                 buckets[str(b)] = {
                     "file": entry["file"],
                     "deltas": entry.get("deltas", []),
+                    "delta_ranges": delta_ranges(entry),
                     "epoch_file": None,
+                    "epoch_file_range": None,
                     "rows": int(entry["rows"]),
                     "rows_changed": 0,
                     "digest": entry["digest"],
@@ -1923,14 +1943,16 @@ class CDCEngine:
         num_buckets = table.num_buckets
 
         def rewrite_bucket(batch: pa.Table) -> pa.Table:
-            # batch carries one bucket id per row (driver-built control set)
+            # batch carries one bucket id per row (driver-built control set);
+            # one sink call reads their chains, each distinct file once and
+            # only the row groups of a segment their ranges overlap
             out_rows = []
-            for bucket in batch["bucket"].to_pylist():
-                entry = ray.get(live_ref)[bucket]
-                base = table.merge_chain(
-                    [sink.read_partition(f) for f in LakeTable.chain_files(entry)],
-                    stored_schema,
-                )
+            bucket_ids = batch["bucket"].to_pylist()
+            live_now = ray.get(live_ref)
+            chains, _, _ = sink.read_chains(
+                [LakeTable.chain_refs(live_now[b]) for b in bucket_ids])
+            for bucket, chain in zip(bucket_ids, chains):
+                base = table.merge_chain(chain, stored_schema)
                 base = base.take(pc.sort_indices(base, sort_keys=[(key, "ascending")]))
                 new = project_to_schema(fn(base), stored_schema)
                 # pc.all over an EMPTY comparison is null (-> bool None is
@@ -1972,7 +1994,9 @@ class CDCEngine:
             str(r["bucket"]): {
                 "file": r["file"],
                 "deltas": [],          # rewrite compacts: chain reset
+                "delta_ranges": [],
                 "epoch_file": r["file"],
+                "epoch_file_range": None,
                 "rows": int(r["rows"]),
                 "rows_changed": int(r["rows_changed"]),
                 "digest": r["digest"],
@@ -2254,30 +2278,19 @@ class CDCEngine:
 
         results: list[EpochResult] = []
         idle = 0
-        # offset-cursor sources (needs_cursor = True: the filesystem source
-        # and the message-bus AppendLogBusSource) report only what lies
-        # strictly after the lake's committed offset_max, numbered from the
-        # committed epoch + 1 — offsets, not directory names, are the
-        # resume cursor, so a maintenance epoch (delete_keys, rewrite,
-        # clear) cannot shadow the producer epoch that shares its number
-        needs_cursor = bool(getattr(source, "needs_cursor", False))
         while idle < max_idle_polls:
-            if needs_cursor:
-                committed = self.table.committed_epoch()
-                pending_meta = {"epochs": source.poll_epochs(cursor={
-                    "epoch": committed,
-                    "offset": self.committed_offset(),
-                })}
-            else:
-                pending_meta = {"epochs": source.poll_epochs()}
-                committed = self.table.committed_epoch()
-            has_new = any(
-                committed is None or e["epoch"] > committed
-                for e in pending_meta["epochs"]
-            )
-            if has_new:
+            # every source reports only what lies strictly after the
+            # lake's committed offset_max, numbered from the committed
+            # epoch + 1 — offsets, not epoch numbers, are the resume
+            # cursor, so a maintenance epoch (delete_keys, rewrite, clear)
+            # cannot shadow the producer epoch that shares its number
+            pending = source.poll_epochs(cursor={
+                "epoch": self.table.committed_epoch(),
+                "offset": self.committed_offset(),
+            })
+            if pending:
                 results.extend(
-                    self.replay_binlog(pending_meta, catchup=catchup,
+                    self.replay_binlog({"epochs": pending}, catchup=catchup,
                                        source=source, **apply_kwargs)
                 )
                 idle = 0

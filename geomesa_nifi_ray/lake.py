@@ -8,6 +8,8 @@ keyed, schema'd mutable table. Layout::
         _table.json              # schema, key, order cols, bucket count P, versions
         _log/epoch-00000.json    # one manifest per committed epoch (the commit log)
         data/bucket=<b>/epoch-<e>.parquet   # full bucket state as of epoch e
+        data/delta-<e>-<md5>.parquet        # one merge task's delta rows of
+                                            # epoch e, all its buckets
 
 Exactly-once protocol (the strict form of the reference's
 commit-offsets-after-durable-write, ``GetGeoMesaKafkaRecord.scala:294-302``):
@@ -24,7 +26,9 @@ commit-offsets-after-durable-write, ``GetGeoMesaKafkaRecord.scala:294-302``):
 
 Buckets untouched by an epoch carry their previous file pointer forward in
 the manifest (copy-on-write, no rewrite) — at 100 TB an epoch touching 1%
-of keys rewrites ~1% of the lake.
+of keys rewrites ~1% of the lake. A touched bucket either appends a delta
+— a ``[lo, hi)`` row range of its merge task's segment for the epoch — to
+its chain, or compacts into a new base file (:meth:`LakeTable.chain_refs`).
 
 ``num_buckets`` (P) is fixed at table creation and recorded in
 ``_table.json`` so the partition layout is identical on any cluster size
@@ -55,6 +59,14 @@ DATA_DIR = "data"
 # rows per parquet row group in bucket files: the pruning granularity of
 # read_parquet_pruned's key-range skip (files are key-sorted)
 BUCKET_ROW_GROUP_ROWS = 65536
+# rows per row group in delta SEGMENTS (one file per merge task per
+# epoch, rows sorted by (bucket, key)): a per-bucket reader reads only the
+# row groups its range overlaps. Measured on synth page rows, 16 buckets,
+# one CPU (BASELINE.md "Delta segments"): a tail-sized segment (~360
+# rows) is one row group at any size >= 1024; at 2k-10k rows, 1024 reads
+# one bucket's range in half the time 65536 takes for 2-3% more bytes,
+# while 256 costs 18-20% more bytes and slower key-column reads.
+SEGMENT_ROW_GROUP_ROWS = 1024
 # manifests stay ONE json up to this many touched buckets; above it the
 # bucket map shards into ~MANIFEST_SHARD_SIZE-bucket range files written
 # before the (still single, still atomic) manifest
@@ -68,53 +80,119 @@ MANIFEST_SHARD_SIZE = 10_000
 # entirely, so pre-tombstone lakes read unchanged.
 TOMB_COLUMN = "_tomb"
 
+# manifest counters a head carries as running totals (``totals``) through
+# its epoch; ``offset_max`` is a maximum, the rest are sums
+TOTAL_FIELDS = ("rows_in", "rows_applied", "rows_failed", "rows_deleted",
+                "offset_max")
+ZERO_TOTALS = {**{f: 0 for f in TOTAL_FIELDS}, "offset_max": -1}
+
+
+def add_totals(totals: dict, manifest: dict) -> dict:
+    """``totals`` advanced by one manifest's counts."""
+    out = dict(totals)
+    for f in TOTAL_FIELDS:
+        v = int(manifest.get(f, -1 if f == "offset_max" else 0))
+        out[f] = max(out[f], v) if f == "offset_max" else out[f] + v
+    return out
+
 
 def merge_chain_tables(tables, schema: pa.Schema, key: str, order: list[str]) -> pa.Table:
     """Merge a bucket chain (base first) into its current visible state:
     per-key LWW with input position as the final tiebreak, tombstone
-    winners removed. Shared by driver-side and task-side chain readers."""
+    winners removed. Shared by driver-side and task-side chain readers.
+    The winners are taken in ONE copy (tombstoned ones dropped from the
+    winner positions first), in input order."""
+    import numpy as np
     import pyarrow.compute as pc
 
-    from geomesa_nifi_ray.upsert import lww_dedupe
+    from geomesa_nifi_ray.upsert import lww_indices
 
-    any_tomb = any(TOMB_COLUMN in t.column_names for t in tables)
-    if not any_tomb:
-        parts = [project_to_schema(t, schema) for t in tables]
-        if len(parts) == 1:
-            return parts[0]
-        return lww_dedupe(pa.concat_tables(parts), key, order)
-    parts = []
-    for t in tables:
-        tomb = (pc.cast(pc.fill_null(t[TOMB_COLUMN], 0), pa.int8())
-                if TOMB_COLUMN in t.column_names
-                else pa.nulls(t.num_rows, pa.int8()).fill_null(0))
-        parts.append(project_to_schema(t, schema).append_column(TOMB_COLUMN, tomb))
-    merged = lww_dedupe(pa.concat_tables(parts), key, order)
-    merged = merged.filter(
-        pc.equal(merged[TOMB_COLUMN], pa.scalar(0, pa.int8()))
-    )
-    return merged.drop_columns([TOMB_COLUMN])
+    parts = [project_to_schema(t, schema) for t in tables]
+    if len(parts) == 1 and TOMB_COLUMN not in tables[0].column_names:
+        return parts[0]
+    merged = pa.concat_tables(parts)
+    idx = np.sort(lww_indices(merged, key, order))
+    if any(TOMB_COLUMN in t.column_names for t in tables):
+        tomb = np.concatenate([
+            pc.fill_null(t[TOMB_COLUMN], 0).to_numpy(zero_copy_only=False)
+            if TOMB_COLUMN in t.column_names
+            else np.zeros(t.num_rows, dtype=np.int8)
+            for t in tables])
+        idx = idx[tomb[idx] == 0]
+    return merged.take(pa.array(idx))
 
 
-def read_chain_tables(lake_fs, files: list[str],
-                      wanted_cols: tuple[str, ...] | list[str] | None,
-                      ) -> list:
-    """Read one bucket chain's files projected to ``wanted_cols`` (plus
-    ``TOMB_COLUMN`` wherever a delta file carries it; ``None`` reads every
-    column), ready for :func:`merge_chain_tables`. Shared by the
-    derived-view readers AND the snapshot chain scan so the
-    tombstone-aware projection rule lives in exactly one place."""
-    tabs = []
-    for f in files:
-        if wanted_cols is None:
-            tabs.append(lake_fs.read_parquet(f))
-            continue
-        names = set(lake_fs.read_parquet_schema(f).names)
-        cols = [c for c in wanted_cols if c in names]
-        if TOMB_COLUMN in names:
-            cols.append(TOMB_COLUMN)
-        tabs.append(lake_fs.read_parquet(f, columns=cols))
-    return tabs
+def read_chains(lake_fs, chains: list[list[tuple[str, list | None]]],
+                columns: list[str] | tuple[str, ...] | None,
+                key: str | None = None, keys: list[list] | None = None,
+                ) -> tuple[list[list[pa.Table]], int, int]:
+    """Read bucket chains of ``(path, range)`` refs (oldest first; a
+    ``[lo, hi)`` row range inside a delta segment, ``None`` for a whole
+    file) projected to ``columns`` plus ``TOMB_COLUMN`` wherever a file
+    carries it (``None`` reads every column), ready for
+    :func:`merge_chain_tables`. Every chain reader goes through here.
+
+    Each distinct path is opened ONCE per call
+    (:meth:`LakeFS.read_parquet_pruned`), however many chains reference
+    it — a delta segment holds the rows of every bucket its merge task
+    wrote — and only the row groups its refs' ranges overlap are read.
+    With ``key``, chain ``i`` keeps only the rows whose key is in
+    ``keys[i]`` (its sorted probe keys): row groups whose key statistics
+    rule them all out are not read (a file shared by several chains is
+    pruned by the union of their keys), and the rest are filtered as each
+    file is read, so one file's full rows are in memory at a time.
+    Returns ``(tables per chain, in chain order; row groups seen; row
+    groups kept)``."""
+    import pyarrow.compute as pc
+
+    slots: dict[str, list[tuple[int, int]]] = {}
+    for i, chain in enumerate(chains):
+        for j, (path, _) in enumerate(chain):
+            slots.setdefault(path, []).append((i, j))
+    cols = None if columns is None else [*dict.fromkeys(columns), TOMB_COLUMN]
+    out: list[list] = [[None] * len(c) for c in chains]
+    seen = kept = 0
+    for path, ij in slots.items():
+        probe = None
+        if key is not None and keys is not None:
+            owners = {i for i, _ in ij}
+            probe = (keys[ij[0][0]] if len(owners) == 1
+                     else sorted(set().union(*(keys[i] for i in owners))))
+        tabs, n, k = lake_fs.read_parquet_pruned(
+            path, cols, key, probe, ranges=[chains[i][j][1] for i, j in ij])
+        seen += n
+        kept += k
+        for (i, j), t in zip(ij, tabs):
+            if probe is not None:
+                t = t.filter(pc.is_in(t[key], value_set=pa.array(
+                    keys[i], type=t.schema.field(key).type)))
+            out[i][j] = t
+    return out, seen, kept
+
+
+def merge_bucket_chains(chains: list[list[pa.Table]], schema: pa.Schema,
+                        key: str, order: list[str]) -> pa.Table:
+    """Visible rows of several buckets' chains in ONE LWW/tombstone pass
+    (keys never span buckets, so concatenating the chains, each in chain
+    order, keeps every key's position tiebreak). A chain of one file
+    without tombstones is its own visible state and skips the pass."""
+    parts, multi = [], []
+    for tabs in chains:
+        if len(tabs) == 1 and TOMB_COLUMN not in tabs[0].column_names:
+            parts.append(project_to_schema(tabs[0], schema))
+        else:
+            multi.extend(tabs)
+    if multi:
+        parts.append(merge_chain_tables(multi, schema, key, order))
+    return pa.concat_tables(parts) if parts else schema.empty_table()
+
+
+def delta_ranges(entry: dict) -> list:
+    """A manifest entry's per-delta row ranges, parallel to ``deltas``
+    (``None`` = the whole file: deltas written before segments, and sink
+    refs that are whole partitions)."""
+    deltas = entry.get("deltas", [])
+    return list(entry.get("delta_ranges") or [None] * len(deltas))
 
 
 # -- predicate scans (zone-map data skipping) ---------------------------------
@@ -335,16 +413,25 @@ class LakeFS:
                              filesystem=self.pafs)
 
     def read_parquet_pruned(self, path: str, columns: list[str] | None,
-                            key: str, keys_sorted: list,
-                            ) -> tuple[pa.Table, int, int]:
+                            key: str | None, keys_sorted: list | None,
+                            ranges: list | None = None):
         """Row-group-pruned read for key-sorted files: keep only row groups
         whose parquet ``[min, max]`` statistics on ``key`` could contain one
-        of ``keys_sorted`` (a sorted list). Returns ``(table, row_groups_
-        total, row_groups_kept)``. Columns are leniently projected (missing
-        names are dropped, like the sink's ``read_partition``). Statistics
-        that are absent or suspiciously long (possible truncation) keep
-        their row group — pruning is an optimization, never a filter."""
+        of ``keys_sorted`` (a sorted list; ``key=None`` prunes nothing).
+        Returns ``(table, row_groups_total, row_groups_kept)``. Columns are
+        leniently projected (missing names are dropped, like the sink's
+        ``read_partition``). Statistics that are absent or suspiciously
+        long (possible truncation) keep their row group — pruning is an
+        optimization, never a filter.
+
+        ``ranges`` (a list of ``[lo, hi)`` row ranges, ``None`` for the
+        whole file) reads the refs of a delta segment: row groups that no
+        range overlaps are skipped too (they are not counted in the
+        totals), and the first item returned is the list of per-range
+        tables, in ``ranges`` order."""
         import bisect
+
+        import numpy as np
 
         with self.pafs.open_input_file(path) as f:
             pf = pq.ParquetFile(f)
@@ -352,45 +439,73 @@ class LakeFS:
             if columns is not None:
                 columns = [c for c in columns if c in names]
             md = pf.metadata
-            total = md.num_row_groups
-            if key not in names or total <= 1:
-                return pf.read(columns=columns), total, total
+            n_rg = md.num_row_groups
+            starts = np.cumsum([0] + [md.row_group(i).num_rows
+                                      for i in range(n_rg)])
+            cand = list(range(n_rg))
+            if ranges is not None and None not in ranges:
+                cand = [i for i in cand
+                        if any(lo < starts[i + 1] and starts[i] < hi
+                               for lo, hi in ranges)]
+            keep = cand
             # row-group column index = parquet LEAF index, which diverges
             # from arrow-schema position once any nested column precedes
             # the key (a struct expands to multiple leaves) — same rule as
             # parquet_file_could_match; an unmapped key never prunes
-            leaf = {md.schema.column(j).path: j
-                    for j in range(md.num_columns)}
-            kidx = leaf.get(key)
-            if kidx is None:
-                return pf.read(columns=columns), total, total
-            ktype = pf.schema_arrow.field(key).type
-            keep = []
-            for i in range(total):
-                # _stat_range owns the distrust rules (absent, truncation-
-                # suspect, undecodable bytes) shared with where-scan pruning
-                rng = _stat_range(md.row_group(i).column(kidx).statistics,
-                                  ktype)
-                if rng is None:
-                    keep.append(i)
-                    continue
-                lo, hi = rng
-                try:
-                    j = bisect.bisect_left(keys_sorted, lo)
-                    hit = j < len(keys_sorted) and keys_sorted[j] <= hi
-                except TypeError:
-                    keep.append(i)  # stats/key type mismatch: never filter
-                    continue
-                if hit:
-                    keep.append(i)
-            if len(keep) == total:
-                return pf.read(columns=columns), total, total
-            if not keep:
+            kidx = None
+            if key in names and len(cand) > 1:
+                kidx = {md.schema.column(j).path: j
+                        for j in range(md.num_columns)}.get(key)
+            if kidx is not None:
+                ktype = pf.schema_arrow.field(key).type
+                keep = []
+                for i in cand:
+                    # _stat_range owns the distrust rules (absent,
+                    # truncation-suspect, undecodable bytes) shared with
+                    # where-scan pruning
+                    rng = _stat_range(md.row_group(i).column(kidx).statistics,
+                                      ktype)
+                    if rng is None:
+                        keep.append(i)
+                        continue
+                    lo, hi = rng
+                    try:
+                        j = bisect.bisect_left(keys_sorted, lo)
+                        hit = j < len(keys_sorted) and keys_sorted[j] <= hi
+                    except TypeError:
+                        keep.append(i)  # stats/key type mismatch: never filter
+                        continue
+                    if hit:
+                        keep.append(i)
+            if len(keep) == n_rg:
+                table = pf.read(columns=columns)
+            elif not keep:
                 sch = pf.schema_arrow
                 if columns is not None:
                     sch = pa.schema([sch.field(c) for c in columns])
-                return sch.empty_table(), total, 0
-            return pf.read_row_groups(keep, columns=columns), total, len(keep)
+                table = sch.empty_table()
+            else:
+                table = pf.read_row_groups(keep, columns=columns)
+        if ranges is None:
+            return table, len(cand), len(keep)
+        # slice each range out of the row groups read: kept row group i
+        # holds file rows [starts[i], starts[i+1]) at table position pos
+        pos = np.cumsum([0] + [int(starts[i + 1] - starts[i]) for i in keep])
+        out = []
+        for r in ranges:
+            if r is None:
+                out.append(table)
+                continue
+            lo, hi = r
+            pieces = []
+            for i, p in zip(keep, pos):
+                a, b = max(lo, int(starts[i])), min(hi, int(starts[i + 1]))
+                if a < b:
+                    pieces.append(table.slice(int(p) + a - int(starts[i]),
+                                              b - a))
+            out.append(pa.concat_tables(pieces) if pieces
+                       else table.slice(0, 0))
+        return out, len(cand), len(keep)
 
     def read_parquet_schema(self, path: str) -> pa.Schema:
         return pq.read_schema(path, filesystem=self.pafs)
@@ -832,6 +947,12 @@ class LakeTable:
         first = int(manifest.get("epochs_covered", [epoch, epoch])[0])
         if first > expected:
             raise SchemaError(f"cannot commit epoch {epoch}; next expected is {expected}")
+        # running totals ride in every head, so a scrape reads the tip
+        # only; a function of the previous head, so a replayed epoch
+        # commits the same bytes
+        prev = (ZERO_TOTALS if committed is None
+                else self.totals_through(self.manifest_head(committed)))
+        manifest = {**manifest, "totals": add_totals(prev, manifest)}
         buckets = manifest.get("buckets", {})
         if len(buckets) > MANIFEST_SHARD_THRESHOLD:
             # one JSON per ~10^4-bucket id range, written BEFORE the main
@@ -892,25 +1013,58 @@ class LakeTable:
                 f"split-brain commit: epoch {epoch} already committed "
                 "with different content by another writer")
 
+    def totals_through(self, head: dict) -> dict:
+        """Running totals (:data:`TOTAL_FIELDS`) through the manifest whose
+        head is ``head``: the ones it carries, or — for a head written
+        before totals existed — the sum over every head up to it."""
+        if "totals" in head:
+            return dict(head["totals"])
+        totals = dict(ZERO_TOTALS)
+        epoch = int(head["epoch"])
+        for e in self.manifest_epochs():
+            if e <= epoch:
+                totals = add_totals(
+                    totals, head if e == epoch else self.manifest_head(e))
+        return totals
+
     # -- data files ---------------------------------------------------------
 
     def bucket_file(self, bucket: int, epoch: int, kind: str = "base") -> str:
         """Deterministic relative path for a bucket's state as of an epoch.
-        ``kind='base'`` is a full bucket snapshot; ``kind='delta'`` holds only
-        the epoch's winning change rows (see chain semantics below)."""
+        ``kind='base'`` is a full bucket snapshot; ``kind='delta'`` is the
+        per-bucket delta name of lakes written before delta segments
+        (:meth:`write_delta_segment`)."""
         name = f"epoch-{epoch:05d}.parquet" if kind == "base" else f"delta-{epoch:05d}.parquet"
         return os.path.join(DATA_DIR, f"bucket={bucket:05d}", name)
 
     @staticmethod
-    def chain_files(entry: dict) -> list[str]:
-        """A bucket's live file chain, oldest first: base + delta files.
+    def chain_refs(entry: dict) -> list[tuple[str, list | None]]:
+        """A bucket's live chain, oldest first, as ``(path, range)`` refs:
+        the base file, then each delta. A delta written by a merge task
+        is a ``[lo, hi)`` row range of that task's segment file for the
+        epoch, ``delta-<epoch>-<digest>.parquet``; a ref without a range
+        is a whole file (deltas written before segments). Read refs with
+        :func:`read_chains`, which opens each distinct file once.
 
         Chain semantics: each delta contains complete rows for the keys it
         won; merging = concat in chain order + per-key LWW with input
-        position as the final tiebreak, so a later file's row replaces an
+        position as the final tiebreak, so a later delta's row replaces an
         earlier one even on equal ``(warc_ts, offset)`` (rewrites). A key
         absent from every delta is served by the base row unchanged."""
-        return [entry["file"], *entry.get("deltas", [])]
+        return [(entry["file"], None),
+                *zip(entry.get("deltas", []), delta_ranges(entry))]
+
+    @staticmethod
+    def epoch_ref(entry: dict) -> tuple[str, list | None] | None:
+        """``(path, range)`` of what this entry's epoch wrote for the
+        bucket — its delta or its new base — or ``None`` when it wrote
+        nothing (every change lost to the stored winners). Manifests from
+        before deltas (no ``epoch_file``) name the bucket file."""
+        if "epoch_file" not in entry:
+            return entry["file"], None
+        if not entry["epoch_file"]:
+            return None
+        return entry["epoch_file"], entry.get("epoch_file_range")
 
     def merge_chain(self, tables: list[pa.Table], schema: pa.Schema | None = None) -> pa.Table:
         """Merge a bucket chain (base first) into its current state
@@ -937,59 +1091,78 @@ class LakeTable:
         return {int(b): e for b, e in m["buckets"].items()}
 
     def live_entries_with_pending(self) -> dict[int, dict]:
-        """Committed entries overlaid with the IN-FLIGHT epoch's bucket
-        files (epoch committed+1, probed on disk) — the hot/cold composite
-        view of the reference's Lambda store
-        (``LambdaDataStoreService.scala:42-83``: Kafka in-flight layer over
-        the persistent store). Read-uncommitted semantics: mid-epoch, only
-        the buckets whose merge task has already flushed appear with
-        pending rows; a crash discards nothing — the committed view is
-        untouched and the pending files are deterministically overwritten
-        on replay."""
+        """Committed entries overlaid with the IN-FLIGHT epoch's files
+        (epoch committed+1, probed on disk) — the hot/cold composite view
+        of the reference's Lambda store (``LambdaDataStoreService.scala:
+        42-83``: Kafka in-flight layer over the persistent store).
+        Read-uncommitted semantics: mid-epoch, only the buckets whose merge
+        task has already flushed appear with pending rows — a new base
+        file, or a range of a pending delta segment (found from the
+        segment's footer ranges). A crash discards nothing: the committed
+        view is untouched and the pending files are overwritten or
+        vacuumed on replay."""
         committed = self.committed_epoch()
         nxt = 0 if committed is None else committed + 1
         entries = dict(self.live_entries())
         _exists = (os.path.exists if self.fs.is_plain_local else self.fs.exists)
+        pending: dict[int, tuple[str, list]] = {}
+        prefix = f"delta-{nxt:05d}-"
+        for name in sorted(self.fs.listdir(os.path.join(self.table_dir,
+                                                        DATA_DIR))):
+            if name.startswith(prefix) and name.endswith(".parquet"):
+                rel = os.path.join(DATA_DIR, name)
+                for b, lo, hi in self.segment_ranges(rel):
+                    # two attempts of one epoch (different task grouping)
+                    # may both have flushed: the first name wins
+                    pending.setdefault(int(b), (rel, [int(lo), int(hi)]))
         for b in range(self.num_buckets):
             base_rel = self.bucket_file(b, nxt, "base")
-            delta_rel = self.bucket_file(b, nxt, "delta")
+            prev = entries.get(b)
             if _exists(self.abs_path(base_rel)):
                 entries[b] = {"file": base_rel, "deltas": [], "rows": -1,
                               "digest": None, "pending": True}
-            elif _exists(self.abs_path(delta_rel)):
-                prev = entries.get(b)
-                if prev is None:
-                    entries[b] = {"file": delta_rel, "deltas": [], "rows": -1,
-                                  "digest": None, "pending": True}
-                else:
-                    entries[b] = {
-                        "file": prev["file"],
-                        "deltas": list(prev.get("deltas", [])) + [delta_rel],
-                        "rows": -1, "digest": None, "pending": True,
-                    }
+            elif b in pending and prev is not None:
+                # a delta is only ever written over a live entry
+                rel, rng = pending[b]
+                entries[b] = {
+                    "file": prev["file"],
+                    "deltas": [*prev.get("deltas", []), rel],
+                    "delta_ranges": [*delta_ranges(prev), rng],
+                    "rows": -1, "digest": None, "pending": True,
+                }
         return entries
 
-    def write_bucket_file(self, table: pa.Table, bucket: int, epoch: int,
-                          kind: str = "base") -> str:
-        """Write one bucket's merged state atomically; returns the relative
-        path. Deterministic content + deterministic path = idempotent replay.
+    def segment_ranges(self, rel: str) -> list[list[int]]:
+        """``[bucket, lo, hi]`` row ranges recorded in a delta segment's
+        footer (the same ranges its manifest entries carry)."""
+        md = self.fs.read_parquet_schema(self.abs_path(rel)).metadata or {}
+        return json.loads(md.get(b"lake.segment", b"[]"))
+
+    def _user_data(self, epoch: int) -> dict:
+        meta = self.meta
+        return {
+            b"lake.key": meta["key"].encode(),
+            b"lake.order": ",".join(meta["order"]).encode(),
+            b"lake.schema_version": str(meta["schema_version"]).encode(),
+            b"lake.kernel_version": meta["kernel_version"].encode(),
+            b"lake.epoch": str(epoch).encode(),
+        }
+
+    def write_bucket_file(self, table: pa.Table, bucket: int,
+                          epoch: int) -> str:
+        """Write one bucket's merged state (a base file) atomically;
+        returns the relative path. Deterministic content + deterministic
+        path = idempotent replay.
 
         Table-level user data (key column, LWW order, schema/kernel
         versions) is embedded in the parquet schema metadata — the analog
         of the SFT user-data map / GeoAvro's schema-embedding writer
         (``GeoAvroRecordSetWriterFactory.scala:34-49``)."""
-        rel = self.bucket_file(bucket, epoch, kind)
+        rel = self.bucket_file(bucket, epoch)
         path = self.abs_path(rel)
         self.fs.makedirs(os.path.dirname(path))
-        meta = self.meta
-        user_data = {
-            b"lake.key": meta["key"].encode(),
-            b"lake.order": ",".join(meta["order"]).encode(),
-            b"lake.schema_version": str(meta["schema_version"]).encode(),
-            b"lake.kernel_version": meta["kernel_version"].encode(),
-            b"lake.bucket": str(bucket).encode(),
-            b"lake.epoch": str(epoch).encode(),
-        }
+        user_data = {**self._user_data(epoch),
+                     b"lake.bucket": str(bucket).encode()}
         table = table.replace_schema_metadata({**(table.schema.metadata or {}), **user_data})
         # bucket files are key-sorted (both merge paths sort before write),
         # so bounded row groups give the delta merge's chain reads per-key
@@ -997,7 +1170,38 @@ class LakeTable:
         # rows ~ a few hundred MB uncompressed per group
         self.fs.publish_parquet(
             path, table,
-            row_group_rows=meta.get("row_group_rows", BUCKET_ROW_GROUP_ROWS))
+            row_group_rows=self.meta.get("row_group_rows",
+                                         BUCKET_ROW_GROUP_ROWS))
+        return rel
+
+    def write_delta_segment(self, table: pa.Table, epoch: int,
+                            parts: list[tuple[int, int, int, str]]) -> str:
+        """Write one merge task's delta rows for ``epoch`` as ONE segment
+        file; returns its relative path. ``table`` is sorted by (bucket,
+        key); ``parts`` lists ``(bucket, lo, hi, digest)`` per bucket,
+        ascending, where ``[lo, hi)`` are the bucket's rows. The footer
+        records the ranges too (``lake.segment``), for the hot view.
+
+        The name is content-addressed, ``delta-<epoch>-<md5 of the
+        (bucket, digest) pairs>.parquet``, as manifest shards are: a
+        replay that groups buckets into tasks differently writes other
+        names, so it never overwrites a segment a manifest references,
+        and the same rows always land under the same name."""
+        import hashlib
+
+        key = json.dumps([[int(b), d] for b, _, _, d in parts]).encode()
+        rel = os.path.join(
+            DATA_DIR,
+            f"delta-{epoch:05d}-{hashlib.md5(key).hexdigest()}.parquet")
+        path = self.abs_path(rel)
+        self.fs.makedirs(os.path.dirname(path))
+        ranges = [[int(b), int(lo), int(hi)] for b, lo, hi, _ in parts]
+        user_data = {**self._user_data(epoch),
+                     b"lake.segment": json.dumps(ranges).encode()}
+        table = table.replace_schema_metadata(
+            {**(table.schema.metadata or {}), **user_data})
+        self.fs.publish_parquet(path, table,
+                                row_group_rows=SEGMENT_ROW_GROUP_ROWS)
         return rel
 
     def vacuum(self, retain_epochs: int = 2) -> list[str]:
@@ -1008,13 +1212,17 @@ class LakeTable:
 
         Safe by construction: readers resolve files only through manifests,
         and every retained manifest's file set is kept — including files
-        carried forward from older epochs. Files belonging to epochs NEWER
-        than the committed cursor are also kept: an in-flight epoch flushes
-        bucket files before its manifest commits (the hot Lambda view reads
-        them), and deleting them would let the eventual commit publish a
-        manifest pointing at vacuumed paths — permanent corruption the
-        crash-replay protocol cannot repair (the manifest exists, so the
-        epoch never re-runs)."""
+        carried forward from older epochs. A delta segment holds rows of
+        several buckets, so it stays while ANY retained manifest references
+        it for any bucket. Files belonging to epochs NEWER than the
+        committed cursor (``epoch-<e>``, ``delta-<e>-*``) are also kept: an
+        in-flight epoch flushes its files before its manifest commits (the
+        hot Lambda view reads them), and deleting them would let the
+        eventual commit publish a manifest pointing at vacuumed paths —
+        permanent corruption the crash-replay protocol cannot repair (the
+        manifest exists, so the epoch never re-runs). Segments of
+        committed epochs that no retained manifest references (a crashed
+        attempt that grouped buckets differently) are deleted."""
         epochs = self.manifest_epochs()
         if not epochs:
             return []
@@ -1027,7 +1235,7 @@ class LakeTable:
         retained = epochs[-retain_epochs:]
         for e in retained:
             for entry in self.manifest(e)["buckets"].values():
-                keep.update(self.chain_files(entry))
+                keep.update(p for p, _ in self.chain_refs(entry))
         deleted = []
         data_root = os.path.join(self.table_dir, DATA_DIR)
         ep_re = re.compile(r"(?:epoch|delta)-(\d+)")
@@ -1123,11 +1331,11 @@ class LakeTable:
     # -- reads --------------------------------------------------------------
 
     def snapshot_files(self, epoch: int | None = None) -> list[str]:
-        return [
-            self.abs_path(f)
+        return list(dict.fromkeys(
+            self.abs_path(p)
             for e in self.live_entries(epoch).values()
-            for f in self.chain_files(e)
-        ]
+            for p, _ in self.chain_refs(e)
+        ))
 
     def prune_chains(self, where, epoch: int | None = None,
                      include_pending: bool = False,
@@ -1198,7 +1406,8 @@ class LakeTable:
         control = ray.data.from_arrow(pa.table({
             "i": pa.array(range(len(buckets)), type=pa.int64()),
             "files": pa.array(
-                [[self.abs_path(f) for f in self.chain_files(entries[b])]
+                [list(dict.fromkeys(self.abs_path(p) for p, _ in
+                                    self.chain_refs(entries[b])))
                  for b in buckets],
                 type=pa.list_(pa.string())),
         })).repartition(max(1, min(len(buckets), 64)))
@@ -1287,35 +1496,33 @@ class LakeTable:
         if scan_cols is not None:
             # the merge needs key+order; project down afterwards
             read_cols = sorted(set(scan_cols + [key] + order))
-        chains = [
-            [self.abs_path(f) for f in self.chain_files(e)] for e in entries.values()
-        ]
+        chains = [json.dumps([[self.abs_path(p), r]
+                              for p, r in self.chain_refs(e)])
+                  for e in entries.values()]
         base = pa.schema([f for f in self.schema
                           if read_cols is None or f.name in read_cols])
         fs = self.fs
 
         def read_chain(batch: pa.Table) -> pa.Table:
-            out = []
-            # the control table carries each task's OWN chain file list —
+            # the control table carries each task's OWN chain refs —
             # nothing captures the full O(P x files) path list (the
             # sliced-shipping rule prune_chains already follows)
-            for files in batch["chain_files"].to_pylist():
-                tabs = read_chain_tables(fs, files, read_cols)
-                merged = merge_chain_tables(tabs, base, key, order)
-                if wnorm is not None:
-                    # exact filter on the MERGED winners (the predicate
-                    # column may be pred-only: filter before projecting)
-                    merged = merged.filter(predicate_mask(merged, wnorm))
-                out.append(project_to_schema(merged, schema))
-            # an empty control batch is possible after repartition; mirror
-            # the empty guard the sibling chain readers carry
-            return pa.concat_tables(out) if out else schema.empty_table()
+            refs = [json.loads(c) for c in batch["chain"].to_pylist()]
+            if not refs:
+                # an empty control batch is possible after repartition
+                return schema.empty_table()
+            tabs, _, _ = read_chains(fs, refs, read_cols)
+            merged = merge_bucket_chains(tabs, base, key, order)
+            if wnorm is not None:
+                # exact filter on the MERGED winners (the predicate
+                # column may be pred-only: filter before projecting)
+                merged = merged.filter(predicate_mask(merged, wnorm))
+            return project_to_schema(merged, schema)
 
         import ray.data
 
         control = ray.data.from_arrow(
-            pa.table({"chain_files": pa.array(chains,
-                                              type=pa.list_(pa.string()))})
+            pa.table({"chain": pa.array(chains, type=pa.string())})
         ).repartition(len(chains))
         return control.map_batches(read_chain, batch_format="pyarrow")
 
@@ -1327,10 +1534,12 @@ class LakeTable:
         O(probe), never O(lake): keys hash to their buckets with the
         ingest partitioner (crc32 of ``str(key)`` % P), only the touched
         buckets' manifest shards are fetched (sharded manifests prune by
-        bucket range), and each chain file is opened with parquet
-        row-group min/max key-skipping (:meth:`LakeFS.read_parquet_pruned`
-        — bucket files are key-sorted), so a point probe reads a couple of
-        row groups, not the bucket. LWW + tombstones resolve exactly as in
+        bucket range), and each distinct chain file is opened ONCE with
+        parquet row-group min/max key-skipping
+        (:meth:`LakeFS.read_parquet_pruned` — bucket files are key-sorted),
+        so a point probe reads a couple of row groups, not the bucket, and
+        a delta segment shared by the probed buckets is read once. One
+        LWW + tombstone pass over all probed buckets resolves exactly as in
         the snapshot: a tombstoned or never-written key returns no row.
         The store-side keyed index read of the reference's modify writer
         (``FeatureWriters.scala:115-160``) as a user-facing API.
@@ -1341,8 +1550,6 @@ class LakeTable:
         with a broadcast filter instead. Output is one row per present
         key, unordered; ``columns`` projects the result."""
         import zlib
-
-        import pyarrow.compute as pc
 
         schema = self.schema
         out_cols = list(columns) if columns is not None else list(schema.names)
@@ -1361,37 +1568,27 @@ class LakeTable:
         # them away
         need = list(dict.fromkeys([self.key, *self.order, *out_cols]))
         proj_schema = pa.schema([schema.field(c) for c in need])
-        key_type = schema.field(self.key).type
         by_bucket: dict[int, list] = {}
         for k in uniq:
             b = int(zlib.crc32(str(k).encode("utf-8")) % self.num_buckets)
             by_bucket.setdefault(b, []).append(k)
         entries = self.live_entries(epoch, buckets=set(by_bucket))
-        outs = []
-        for b, ks in sorted(by_bucket.items()):
-            e = entries.get(b)
-            if e is None:
-                continue
-            ks_sorted = sorted(ks)
-            tabs = []
-            for f in LakeTable.chain_files(e):
-                # read_parquet_pruned projects leniently (missing names are
-                # dropped), so no separate schema fetch — that extra footer
-                # GET would double the object-store round trips on the
-                # point-lookup hot path
-                t, _, _ = self.fs.read_parquet_pruned(
-                    self.abs_path(f), [*need, TOMB_COLUMN],
-                    self.key, ks_sorted)
-                tabs.append(t)
-            merged = merge_chain_tables(tabs, proj_schema, self.key,
-                                        list(self.order))
-            hit = merged.filter(pc.is_in(
-                merged[self.key], value_set=pa.array(ks, type=key_type)))
-            if hit.num_rows:
-                outs.append(hit.select(out_cols))
-        if not outs:
+        probed = [b for b in sorted(by_bucket) if b in entries]
+        if not probed:
             return out_schema.empty_table()
-        return pa.concat_tables(outs)
+        # read_parquet_pruned projects leniently (missing names are
+        # dropped), so no separate schema fetch — that extra footer GET
+        # would double the object-store round trips on the point-lookup
+        # hot path
+        tabs, _, _ = read_chains(
+            self.fs,
+            [[(self.abs_path(p), r) for p, r in self.chain_refs(entries[b])]
+             for b in probed],
+            need, self.key, [sorted(by_bucket[b]) for b in probed])
+        # read_chains keeps only the probed keys' rows: LWW is per key
+        hit = merge_bucket_chains(tabs, proj_schema, self.key,
+                                  list(self.order))
+        return hit.select(out_cols)
 
     def epoch_changes_dataset(self, epoch: int, include_ops: bool = False):
         """CDC egress: the net row-level changes epoch ``epoch`` produced —
@@ -1428,29 +1625,29 @@ class LakeTable:
         # tombstone winners; a rewrite holds every (possibly re-derived)
         # live row, re-emitted as upserts like a backfill re-broadcast.
         no_window = lo < 0 or m.get("mode") == "rewrite"
-        # the files this epoch wrote: a delta holds exactly the epoch's
-        # winners; a base (epoch 0 / compaction / update / rewrite) holds
-        # older rows too — the offset filter prunes both to the epoch's net
-        # changes. Pre-delta manifests (no epoch_file key) fall back to the
-        # touched bucket file.
-        files = [
-            self.abs_path(e["epoch_file"] if "epoch_file" in e else e["file"])
+        # what this epoch wrote per bucket: a delta range holds exactly the
+        # epoch's winners; a base (epoch 0 / compaction / update / rewrite)
+        # holds older rows too — the offset filter prunes both to the
+        # epoch's net changes (LakeTable.epoch_ref)
+        refs = [
+            (self.abs_path(ref[0]), ref[1])
             for e in m["buckets"].values()
-            if int(e["rows_changed"]) > 0 and e.get("epoch_file", e["file"])
+            if int(e["rows_changed"]) > 0
+            for ref in [self.epoch_ref(e)] if ref is not None
         ]
         schema = self.schema
-        if not files:
+        if not refs:
             empty = schema.empty_table()
             if include_ops:
                 empty = empty.append_column("_op", pa.array([], pa.string()))
             return ray.data.from_arrow(empty)
-        # One task per epoch file, each read INDIVIDUALLY: epoch files are
-        # schema-heterogeneous (a delta carries _tomb only when its bucket
-        # had deletes that epoch), and a single multi-file read_parquet
-        # takes its schema from the first fragment — the _tomb column would
-        # be silently dropped whenever the first-listed bucket had no
-        # tombstones, turning deletes into upserts downstream. The
-        # offset-range pushdown survives as a per-file read filter.
+        # One task per bucket, each reading its ref INDIVIDUALLY (only the
+        # row groups of a segment its range overlaps): epoch files are
+        # schema-heterogeneous (a delta carries _tomb only when its
+        # segment had deletes that epoch), and a single multi-file
+        # read_parquet takes its schema from the first fragment — the
+        # _tomb column would be silently dropped whenever the first-listed
+        # file had no tombstones, turning deletes into upserts downstream.
         lake_fs = self.fs
 
         def read_changes(batch: pa.Table) -> pa.Table:
@@ -1458,11 +1655,12 @@ class LakeTable:
 
             out = []
             for i in batch["i"].to_pylist():
-                t = lake_fs.read_parquet(
-                    files[i],
-                    filters=None if no_window else
-                    [("offset", ">=", lo), ("offset", "<=", hi)],
-                )
+                [[t]], _, _ = read_chains(lake_fs, [[refs[i]]], None)
+                if not no_window:
+                    off = t["offset"]
+                    t = t.filter(pc.and_(
+                        pc.greater_equal(off, pa.scalar(lo, off.type)),
+                        pc.less_equal(off, pa.scalar(hi, off.type))))
                 tomb = (pc.fill_null(t[TOMB_COLUMN], 0)
                         if TOMB_COLUMN in t.column_names else None)
                 rows = project_to_schema(t, schema)
@@ -1489,8 +1687,8 @@ class LakeTable:
             return pa.concat_tables(out)
 
         control = ray.data.from_arrow(
-            pa.table({"i": pa.array(range(len(files)), type=pa.int64())})
-        ).repartition(len(files))
+            pa.table({"i": pa.array(range(len(refs)), type=pa.int64())})
+        ).repartition(len(refs))
         return control.map_batches(read_changes, batch_format="pyarrow")
 
     def _clear_epoch_changes(self, epoch: int, include_ops: bool):
@@ -1576,13 +1774,12 @@ class LakeTable:
         if not work:
             return ray.data.from_arrow(out_schema.empty_table())
         lake_fs = self.fs
-        table_dir = self.table_dir
 
-        def _state(files: list[str]) -> pa.Table:
-            if not files:
+        def _state(chain: str) -> pa.Table:
+            refs = json.loads(chain)
+            if not refs:
                 return schema.empty_table()
-            tabs = [lake_fs.read_parquet(os.path.join(table_dir, f))
-                    for f in files]
+            [tabs], _, _ = read_chains(lake_fs, [refs], None)
             return merge_chain_tables(tabs, schema, key, order)
 
         def _tag(t: pa.Table, tag: str) -> pa.Table:
@@ -1613,14 +1810,17 @@ class LakeTable:
             out = [t for t in out if t.num_rows]
             return pa.concat_tables(out) if out else out_schema.empty_table()
 
-        # the control table CARRIES each bucket's two chain-file lists so a
-        # task receives only its own rows — a closure-captured {bucket:
+        # the control table CARRIES each bucket's two chains (JSON refs) so
+        # a task receives only its own rows — a closure-captured {bucket:
         # chains} map would ship O(P) state to each of P tasks (O(P^2))
+        def chain(entries: dict[int, dict], b: int) -> str:
+            return json.dumps([[self.abs_path(p), r] for p, r in
+                               self.chain_refs(entries[b])] if b in entries
+                              else [])
+
         control = ray.data.from_arrow(pa.table({
-            "fa": pa.array([self.chain_files(ea[b]) if b in ea else []
-                            for b in work], pa.list_(pa.string())),
-            "fb": pa.array([self.chain_files(eb[b]) if b in eb else []
-                            for b in work], pa.list_(pa.string())),
+            "fa": pa.array([chain(ea, b) for b in work], pa.string()),
+            "fb": pa.array([chain(eb, b) for b in work], pa.string()),
         })).repartition(len(work))
         return control.map_batches(diff, batch_format="pyarrow")
 
@@ -1632,13 +1832,18 @@ class LakeTable:
         schema = self.schema
         if not entries:
             return schema.empty_table()
-        parts = [
-            self.merge_chain(
-                [self.fs.read_parquet(self.abs_path(f)) for f in self.chain_files(e)],
-                schema,
-            )
-            for _, e in sorted(entries.items())
-        ]
+        chains = [[(self.abs_path(p), r) for p, r in self.chain_refs(e)]
+                  for _, e in sorted(entries.items())]
+        # every delta ref in one call (a segment shared by buckets is read
+        # once), then bucket by bucket its base and its merge: reading
+        # every base up front as well kept all of them in memory beside
+        # the merged parts, which raised the driver's peak memory
+        deltas, _, _ = read_chains(self.fs, [c[1:] for c in chains], None)
+        parts = []
+        for chain, tail in zip(chains, deltas):
+            [[base]], _, _ = read_chains(self.fs, [chain[:1]], None)
+            parts.append(merge_chain_tables([base, *tail], schema, self.key,
+                                            self.order))
         out = pa.concat_tables(parts)
         import pyarrow.compute as pc
 

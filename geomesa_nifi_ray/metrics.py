@@ -15,7 +15,7 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from geomesa_nifi_ray.lake import LakeTable
+from geomesa_nifi_ray.lake import ZERO_TOTALS, LakeTable
 
 
 def lineage_table(table: LakeTable) -> pa.Table:
@@ -93,22 +93,28 @@ def prometheus_text(table: LakeTable) -> str:
     (``service/PrometheusRegistryService.scala:21-63``; counter naming
     follows its ``geomesa.ingest.*`` convention). Derived entirely from the
     manifest commit log, so the endpoint is stateless and exactly matches
-    committed state."""
+    committed state.
+
+    O(1) in the log's length: the counters are the running ``totals`` the
+    tip manifest carries (:meth:`LakeTable.commit_epoch`), so a scrape
+    reads one manifest. A tip written before totals existed falls back to
+    summing every head."""
     name = table.name
     epochs = table.manifest_epochs()
-    rows_in = applied = failed = deleted = 0
-    last_epoch = -1
-    last_offset = -1
-    for e in epochs:
-        # head-only read: counters live in the top-level manifest JSON
-        m = table.manifest_head(e)
-        rows_in += int(m["rows_in"])
-        applied += int(m.get("rows_applied", 0))
-        failed += int(m["rows_failed"])
-        deleted += int(m.get("rows_deleted", 0))
-        last_epoch = max(last_epoch, int(e))
-        last_offset = max(last_offset, int(m["offset_max"]))
-    entries = table.live_entries()
+    totals = dict(ZERO_TOTALS)
+    last_epoch = epochs[-1] if epochs else -1
+    entries: dict = {}
+    if epochs:
+        tip = table.manifest_head(last_epoch)
+        totals = table.totals_through(tip)
+        # a one-JSON manifest's head IS the manifest; a sharded one
+        # reassembles its bucket map
+        buckets = (tip["buckets"] if "buckets" in tip
+                   else table.manifest(last_epoch)["buckets"])
+        entries = {int(b): e for b, e in buckets.items()}
+    rows_in, applied = totals["rows_in"], totals["rows_applied"]
+    failed, deleted = totals["rows_failed"], totals["rows_deleted"]
+    last_offset = totals["offset_max"]
     table_rows = sum(int(x["rows"]) for x in entries.values())
     lab = f'{{table="{name}"}}'
     lines = [
@@ -145,8 +151,8 @@ def serve_metrics(table: LakeTable, port: int = 0, host: str = "127.0.0.1"):
     """Start a background scrape endpoint (GET /metrics) for one table —
     the controller-service analog of PrometheusRegistryService. Returns the
     bound ``(server, port)``; call ``server.shutdown()`` to stop. Each
-    scrape re-reads the commit log (cheap: one JSON per epoch), so results
-    always reflect the latest committed manifest."""
+    scrape lists the log and reads the tip manifest (its running totals),
+    so results always reflect the latest committed manifest."""
     import threading
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 

@@ -220,6 +220,14 @@ def pack_sequences(ds, col: str, value_col: str, seq_len: int, *,
                         num_buckets=num_buckets, key_col=key_col)
 
     def chunk(t: pa.Table) -> pa.Table:
+        # a negative token count has no layout: it would give a
+        # cum_before below a row's predecessors (wrong seq_id, negative
+        # seq_off) — refuse it instead
+        low = pc.min(t[value_col]).as_py() if t.num_rows else None
+        if low is not None and low < 0:
+            raise ValueError(
+                f"pack_sequences: {value_col!r} has a negative value "
+                f"({low}); token counts must be >= 0")
         cum = t["cum_before"]
         # int64 division: cum_before >= 0, so truncation == floor, exact
         # at any magnitude (a float64 floor would break past 2^53 tokens)

@@ -71,9 +71,11 @@ def _lake_key(meta: dict) -> str:
 
     from geomesa_nifi_ray.text import TEXT_KERNEL_VERSION
 
-    # LAYOUT v2: delta-file chains + epoch_file manifest entries (round 2);
-    # bumping the key rebuilds cached lakes instead of trusting forward-compat
-    payload = json.dumps([meta["spec"], TEXT_KERNEL_VERSION, "layout-v2"], sort_keys=True)
+    # LAYOUT v3: delta segments (one file per merge task per epoch) with
+    # per-bucket row ranges in the manifest; v2 was per-bucket delta files.
+    # Bumping the key rebuilds cached lakes instead of trusting
+    # forward-compat
+    payload = json.dumps([meta["spec"], TEXT_KERNEL_VERSION, "layout-v3"], sort_keys=True)
     return hashlib.md5(payload.encode()).hexdigest()[:10]
 
 
@@ -2281,7 +2283,7 @@ spans AS (
 ),
 dup AS (
   SELECT doc_id, pos FROM spans
-  WHERE shingle_hash IN (
+  WHERE doc_id IS NOT NULL AND shingle_hash IN (
     SELECT shingle_hash FROM spans GROUP BY shingle_hash
     HAVING count(DISTINCT doc_id) >= 2)
 )

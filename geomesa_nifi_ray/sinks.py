@@ -3,13 +3,13 @@
 
 The reference ships one thin connector shim per backend (Accumulo, HBase,
 Kafka, Redis, FS/Iceberg, JDBC, Lambda) over a common load/new/dispose
-protocol. Here a ``Sink`` is anything implementing the three-method
-protocol below; the engine's lake is one implementation
-(:class:`ParquetLakeSink`), and a user can plug an object-store or
-table-format sink without touching the engine. Writes happen inside the
-per-bucket merge tasks (each task owns its partition's handle — the
-store-per-writer isolation of ``JdbcDataStoreService.scala:27-30``);
-``commit`` runs once on the driver per epoch.
+protocol. Here a ``Sink`` is anything implementing the protocol below;
+the engine's lake is one implementation (:class:`ParquetLakeSink`), and a
+user can plug an object-store or table-format sink without touching the
+engine. Writes happen inside the merge tasks (each task owns the
+partitions of its bucket range — the store-per-writer isolation of
+``JdbcDataStoreService.scala:27-30``); ``commit`` runs once on the driver
+per epoch.
 """
 
 from __future__ import annotations
@@ -27,20 +27,41 @@ class Sink(Protocol):
     manifest commit log, epoch cursor) stays in :class:`LakeTable` — the
     sink owns only partition bytes, so any backend that can durably write
     and read a keyed partition participates in the same exactly-once
-    protocol. Instances are pickled into the per-bucket merge tasks; keep
-    them connection-free (open handles lazily per call)."""
+    protocol. Instances are pickled into the merge tasks; keep them
+    connection-free (open handles lazily per call).
 
-    def write_partition(self, table: pa.Table, bucket: int, epoch: int,
-                        kind: str = "base") -> str:
-        """Durably write one bucket's state (``kind='base'``) or epoch delta
-        (``kind='delta'``); return an opaque reference recorded in the
-        manifest. Must be idempotent (deterministic destination for
-        (bucket, epoch, kind))."""
+    A reference is ``(ref, range)``: an opaque string recorded in the
+    manifest plus an optional ``[lo, hi)`` row range inside it (``None``
+    = the whole partition)."""
+
+    def write_partition(self, table: pa.Table, bucket: int,
+                        epoch: int) -> str:
+        """Durably write one bucket's full state (a base); return its ref.
+        Must be idempotent (deterministic destination for (bucket,
+        epoch))."""
         ...
 
-    def read_partition(self, ref: str, columns: list[str] | None = None) -> pa.Table:
-        """Read a previously written partition by its manifest reference,
-        optionally column-pruned (the delta merge reads only key+order)."""
+    def write_deltas(self, table: pa.Table, epoch: int,
+                     parts: list[tuple[int, int, int, str]],
+                     ) -> list[tuple[str, list | None]]:
+        """Durably write one merge task's delta rows for ``epoch`` — the
+        one delta write of the task. ``table`` is sorted by (bucket, key);
+        ``parts`` lists ``(bucket, lo, hi, digest)`` per bucket, ascending,
+        with ``[lo, hi)`` its rows. Returns one ``(ref, range)`` per part.
+        Must be idempotent for the same rows, and must never overwrite a
+        ref holding other rows."""
+        ...
+
+    def read_chains(self, chains: list[list[tuple[str, list | None]]],
+                    columns: list[str] | None = None, key: str | None = None,
+                    keys: list[list] | None = None,
+                    ) -> tuple[list[list[pa.Table]], int, int]:
+        """Read bucket chains of ``(ref, range)`` references (see
+        :func:`~geomesa_nifi_ray.lake.read_chains`): per chain its tables,
+        oldest first, projected leniently to ``columns`` plus the
+        ``_tomb`` marker where present; ``keys[i]`` (sorted probe keys of
+        chain ``i``) MAY prune rows of other keys. Returns ``(tables,
+        row groups seen, row groups kept)``."""
         ...
 
     def commit(self, manifest: dict) -> None:
@@ -53,38 +74,34 @@ class Sink(Protocol):
 
 
 class ParquetLakeSink:
-    """The built-in sink: bucketed Parquet lake + manifest commit log."""
+    """The built-in sink: bucketed Parquet lake + manifest commit log. A
+    merge task's delta rows go to ONE segment file per epoch
+    (:meth:`LakeTable.write_delta_segment`); chain reads open each
+    distinct file once and prune row groups by key statistics — bucket
+    files are key-sorted, so a small epoch reads O(its key span), not the
+    touched chains (the reference's keyed-index point reads,
+    ``FeatureWriters.scala:115-160``)."""
 
     def __init__(self, table: LakeTable):
         self.table = table
 
-    def write_partition(self, data: pa.Table, bucket: int, epoch: int,
-                        kind: str = "base") -> str:
-        return self.table.write_bucket_file(data, bucket, epoch, kind)
+    def write_partition(self, data: pa.Table, bucket: int,
+                        epoch: int) -> str:
+        return self.table.write_bucket_file(data, bucket, epoch)
 
-    def read_partition(self, ref: str, columns: list[str] | None = None) -> pa.Table:
-        path = self.table.abs_path(ref)
-        if columns is not None:
-            # lenient projection: requesting a column the partition lacks
-            # (e.g. the optional _tomb marker) simply omits it
-            avail = set(self.table.fs.read_parquet_schema(path).names)
-            columns = [c for c in columns if c in avail]
-        return self.table.fs.read_parquet(path, columns=columns)
+    def write_deltas(self, data: pa.Table, epoch: int,
+                     parts: list[tuple[int, int, int, str]],
+                     ) -> list[tuple[str, list | None]]:
+        rel = self.table.write_delta_segment(data, epoch, parts)
+        return [(rel, [lo, hi]) for _, lo, hi, _ in parts]
 
-    def read_partition_keyed(self, ref: str, columns: list[str] | None,
-                             key: str, keys_sorted: list,
-                             ) -> tuple[pa.Table, int, int]:
-        """Key-pruned chain read (OPTIONAL protocol extension — the delta
-        merge probes for it with ``getattr``): bucket files are key-sorted,
-        so parquet row-group min/max statistics skip row groups that cannot
-        contain any of the epoch's keys. Returns ``(table, row_groups_total,
-        row_groups_kept)``; columns leniently projected like
-        ``read_partition``. This is what bounds a small epoch's merge reads
-        by the epoch's key span instead of the touched buckets' full chains
-        (the reference's keyed-index point reads,
-        ``FeatureWriters.scala:115-160``)."""
-        return self.table.fs.read_parquet_pruned(
-            self.table.abs_path(ref), columns, key, keys_sorted)
+    def read_chains(self, chains, columns=None, key=None, keys=None):
+        from geomesa_nifi_ray.lake import read_chains
+
+        t = self.table
+        return read_chains(
+            t.fs, [[(t.abs_path(p), r) for p, r in c] for c in chains],
+            columns, key, keys)
 
     def commit(self, manifest: dict) -> None:
         self.table.commit_epoch(manifest)
@@ -142,8 +159,27 @@ class SqliteSink:
 
     # -- Sink protocol ------------------------------------------------------
 
-    def write_partition(self, data: pa.Table, bucket: int, epoch: int,
-                        kind: str = "base") -> str:
+    def write_partition(self, data: pa.Table, bucket: int,
+                        epoch: int) -> str:
+        return self._write(data, bucket, epoch, "base")
+
+    def write_deltas(self, data: pa.Table, epoch: int,
+                     parts: list[tuple[int, int, int, str]],
+                     ) -> list[tuple[str, list | None]]:
+        """One ``delta`` table per bucket; the refs are whole partitions."""
+        return [(self._write(data.slice(lo, hi - lo), b, epoch, "delta"), None)
+                for b, lo, hi, _ in parts]
+
+    def read_chains(self, chains, columns=None, key=None, keys=None):
+        """Every ref is a whole partition; nothing is pruned."""
+        from geomesa_nifi_ray.lake import TOMB_COLUMN
+
+        cols = None if columns is None else [*columns, TOMB_COLUMN]
+        return [[self.read_partition(ref, cols) for ref, _ in c]
+                for c in chains], 0, 0
+
+    def _write(self, data: pa.Table, bucket: int, epoch: int,
+               kind: str) -> str:
         import json
 
         from geomesa_nifi_ray.schema import schema_to_json

@@ -4,12 +4,18 @@ batches, read them, let the engine commit offsets), mirroring the ``Sink``
 SPI (``sinks.py:25``).
 
 A ``Source`` is anything implementing the two-method protocol below. The
-engine's tailer (``CDCEngine.tail``) drives it: poll for epoch
-descriptors, filter by the lake's committed cursor, read + apply + commit,
-repeat. Offsets/epochs advance only at commit, so a crash at any poll
-boundary resumes exactly — the source never tracks consumer state, the
-lake's commit log is the single cursor (the consumer-group-offsets analog,
+engine's tailer (``CDCEngine.tail``) drives it: poll with the lake's
+committed cursor for the pending epoch descriptors, read + apply + commit,
+repeat. Offsets advance only at commit, so a crash at any poll boundary
+resumes exactly — the source never tracks consumer state, the lake's
+commit log is the single cursor (the consumer-group-offsets analog,
 except exactly-once because the cursor commits atomically WITH the data).
+The cursor is the committed OFFSET, never an epoch number: maintenance
+epochs (``delete_keys``, rewrites, clears) take lake epoch numbers that a
+producer knows nothing about, so a source numbers its pending epochs from
+the committed epoch + 1 and keeps its own numbering as ``source_epoch``
+(Delta Lake's ``txn`` action keeps a stream's version apart from the
+table's version for the same reason).
 
 Two built-ins:
 
@@ -22,14 +28,13 @@ Two built-ins:
   any message bus / WAL a real deployment would tail): producers append
   rows + publish the epoch row in one transaction, readers see epochs
   atomically. ``read`` returns a ``ray.data.Dataset`` via
-  ``ray.data.read_sql``, proving the engine's non-file ingest seam.
+  ``ray.data.read_sql`` of the descriptor's ``source_epoch``, proving the
+  engine's non-file ingest seam.
 - :class:`AppendLogBusSource` — the message-bus envelope proper: the log
   has NO epochs, only records with bus-assigned monotonic offsets; the
   CONSUMER forms epochs from offset ranges at poll time under the
   reference's min/max/latency batch envelope
-  (``GetGeoMesaKafkaRecord.scala:113-122,263-304``), and the lake's
-  committed ``offset_max`` — not an epoch directory name — is the resume
-  cursor (``needs_cursor = True``; ``CDCEngine.tail`` passes it).
+  (``GetGeoMesaKafkaRecord.scala:113-122,263-304``).
 """
 
 from __future__ import annotations
@@ -48,21 +53,21 @@ from geomesa_nifi_ray.schema import schema_from_json, schema_to_json
 class Source(Protocol):
     """Pluggable change-stream protocol.
 
-    ``poll_epochs()`` returns epoch descriptors — dicts with at least
-    ``epoch`` (int), ``offset_min``/``offset_max``; plus either
+    ``poll_epochs(cursor={"epoch": committed epoch, "offset": committed
+    offset})`` returns the PENDING epoch descriptors — records after the
+    committed offset — numbered from the committed epoch + 1. A
+    descriptor is a dict with at least ``epoch`` (int, the lake epoch it
+    is assigned) and ``offset_min``/``offset_max``; plus either
     ``files``/``path`` (parquet fast path) or nothing file-like, in which
     case the engine calls ``read(descriptor)`` for a Dataset. Optional
-    keys: ``rows`` (row-count hint), ``mode`` (per-epoch write mode).
-    Descriptors must be stable across polls (same epoch -> same content):
-    an epoch is immutable once published, exactly like a closed Kafka
-    batch. Sources hold no consumer state — the caller filters by its own
-    committed cursor, or, for a source that sets ``needs_cursor = True``,
-    passes it: ``poll_epochs(cursor={"epoch": committed epoch, "offset":
-    committed offset})`` returns only the pending epochs, numbered from
-    the committed epoch + 1."""
+    keys: ``source_epoch`` (the source's own epoch id, what ``read``
+    selects by), ``rows`` (row-count hint), ``mode`` (per-epoch write
+    mode). Published epochs are immutable, exactly like a closed Kafka
+    batch. Sources hold no consumer state: the cursor is the lake's."""
 
-    def poll_epochs(self) -> list[dict]:
-        """All currently published epochs, ascending by epoch."""
+    def poll_epochs(self, cursor: dict | None = None) -> list[dict]:
+        """Pending epochs after ``cursor``, ascending (every published
+        epoch, by its own number, when ``cursor`` is ``None``)."""
         ...
 
     def read(self, descriptor: dict):
@@ -76,14 +81,8 @@ class FilesystemEpochSource:
     the engine's original hardcoded tailer target, now behind the SPI.
     Producers publish atomically (tmp dir + one rename), or write a
     ``_SUCCESS`` marker last and set ``require_marker=True``
-    (``CDCEngine.discover_epochs`` documents the contract).
-
-    The tailer passes the lake's cursor (``needs_cursor = True``): offsets,
-    not directory names, decide what is pending, because maintenance
-    epochs (``delete_keys``, rewrites, clears) take lake epoch numbers that
-    the producer's directories know nothing about."""
-
-    needs_cursor = True
+    (``CDCEngine.discover_epochs`` documents the contract). Offsets, not
+    directory names, decide what is pending."""
 
     def __init__(self, binlog_dir: str, require_marker: bool = False):
         self.binlog_dir = binlog_dir
@@ -134,38 +133,46 @@ class FilesystemEpochSource:
         """Published epochs, ascending. Without ``cursor``: every epoch
         directory, numbered by its name.
 
-        With the lake's ``cursor = {"epoch": committed epoch, "offset":
-        committed offset}``: only the pending ones, numbered from
-        ``epoch + 1``. A directory is pending when its ``offset_min`` is
-        above the committed offset; one without offset statistics falls
-        back to its name (pending when numbered above the committed
-        epoch). Footers are read newest-first and the scan stops at the
-        first directory that is not pending — offsets grow with the
-        directory names, so everything older was applied too, and a poll
-        reads O(new epochs) footers however long the history is."""
+        With the lake's ``cursor``: only the pending ones
+        (:func:`pending_after`). Footers are read newest-first and the
+        scan stops at the first directory that is not pending — offsets
+        grow with the directory names, so everything older was applied
+        too, and a poll reads O(new epochs) footers however long the
+        history is."""
         dirs = self._published()
         if cursor is None:
             return [self._describe(*x) for x in dirs]
-        after = cursor.get("offset")
-        after = -1 if after is None else int(after)
-        last = cursor.get("epoch")
-        pending = []
-        for x in reversed(dirs):
-            desc = self._describe(*x)
-            if desc["offset_min"] >= 0:
-                if desc["offset_min"] <= after:
-                    break
-            elif last is not None and desc["epoch"] <= int(last):
-                break
-            pending.append(desc)
-        first = 0 if last is None else int(last) + 1
-        pending.reverse()
-        for i, desc in enumerate(pending):
-            desc["epoch"] = first + i
-        return pending
+        return pending_after((self._describe(*x) for x in reversed(dirs)),
+                             cursor)
 
     def read(self, descriptor: dict):
         return descriptor["files"]
+
+
+def pending_after(newest_first, cursor: dict) -> list[dict]:
+    """The pending descriptors of a source, ascending: walk
+    ``newest_first`` (descriptors numbered by the source's own epochs)
+    until the first one already applied — ``offset_min`` at or below the
+    cursor's offset; a descriptor without offsets (-1) falls back to its
+    own number against the cursor's epoch — then renumber them from the
+    committed epoch + 1, keeping the source's number as ``source_epoch``."""
+    after = cursor.get("offset")
+    after = -1 if after is None else int(after)
+    last = cursor.get("epoch")
+    pending = []
+    for desc in newest_first:
+        if desc["offset_min"] >= 0:
+            if desc["offset_min"] <= after:
+                break
+        elif last is not None and desc["epoch"] <= int(last):
+            break
+        pending.append(desc)
+    first = 0 if last is None else int(last) + 1
+    pending.reverse()
+    for i, desc in enumerate(pending):
+        desc["source_epoch"] = desc["epoch"]
+        desc["epoch"] = first + i
+    return pending
 
 
 def _sqlite_connect(path: str):
@@ -283,7 +290,11 @@ class SqliteBinlogSource:
 
     # -- Source protocol -----------------------------------------------------
 
-    def poll_epochs(self) -> list[dict]:
+    def poll_epochs(self, cursor: dict | None = None) -> list[dict]:
+        """Published epochs, ascending: all of them by their own numbers,
+        or with the lake's ``cursor`` only the pending ones
+        (:func:`pending_after`; ``source_epoch`` is what :meth:`read`
+        selects)."""
         con = _sqlite_connect(self.db_path)
         try:
             rows = con.execute(
@@ -299,7 +310,9 @@ class SqliteBinlogSource:
             if mode:
                 d["mode"] = mode
             out.append(d)
-        return out
+        if cursor is None:
+            return out
+        return pending_after(reversed(out), cursor)
 
     def read(self, descriptor: dict):
         import functools
@@ -308,8 +321,9 @@ class SqliteBinlogSource:
 
         schema = self.schema
         names = ", ".join(f'"{f.name}"' for f in schema)
+        epoch = int(descriptor.get("source_epoch", descriptor["epoch"]))
         ds = ray.data.read_sql(
-            f"SELECT {names} FROM binlog WHERE epoch = {int(descriptor['epoch'])}",
+            f"SELECT {names} FROM binlog WHERE epoch = {epoch}",
             functools.partial(_sqlite_connect, self.db_path),
         )
 
@@ -343,10 +357,9 @@ class AppendLogBusSource:
       this long (``RECORD_MAX_LATENCY``), so a trickle still commits.
 
     Exactly-once contract: the bus holds no consumer state. ``tail``
-    passes the lake's committed cursor (``needs_cursor = True``) — epoch
-    numbering continues from ``cursor['epoch']`` and records strictly
-    after ``cursor['offset']`` (the last committed manifest's
-    ``offset_max``, NOT a directory name) are eligible. A batch only
+    passes the lake's committed cursor — epoch numbering continues from
+    ``cursor['epoch']`` and records strictly after ``cursor['offset']``
+    (the last committed manifest's ``offset_max``) are eligible. A batch only
     becomes immutable when its manifest commits; a crash between polls
     may re-form a larger batch from the same records, which is exactly a
     Kafka consumer re-polling an uncommitted range — the lake state
@@ -363,8 +376,6 @@ class AppendLogBusSource:
     cannot) set it. Arrival wall-time is stored per row for the latency
     gate.
     """
-
-    needs_cursor = True
 
     def __init__(self, db_path: str, schema: pa.Schema | None = None,
                  min_records: int = 1, max_records: int = 100_000,

@@ -45,7 +45,13 @@ import pyarrow.compute as pc
 def exact_quantiles(ds, col: str, qs: list[float], *, bins: int = 4096,
                     driver_cap: int = 1_000_000) -> dict[float, float]:
     """Exact ``quantile_disc``-semantics quantiles of ``ds[col]``
-    (nulls excluded). Returns ``{q: value}``; empty input raises."""
+    (nulls excluded). Returns ``{q: value}``; empty input raises.
+
+    The input is executed three times (extent, histogram, values in the
+    needed bins), so every pass must see the same rows: a
+    nondeterministic upstream (random sampling, a source that changes
+    between reads) must be ``materialize()``-d first. Passes that
+    disagree raise ``ValueError`` rather than return a wrong value."""
     if not qs or any(not (0.0 <= q <= 1.0) for q in qs):
         raise ValueError(f"quantiles must be in [0, 1], got {qs}")
     if bins < 2:
@@ -115,11 +121,19 @@ def exact_quantiles(ds, col: str, qs: list[float], *, bins: int = 4096,
         return pa.table({"b": pa.array(used.astype(np.int64)),
                          "c": pa.array(counts[used].astype(np.int64))})
 
+    def disagree(what: str) -> ValueError:
+        return ValueError(
+            f"exact_quantiles: the passes over {col!r} saw different data "
+            f"({what}); the input must give the same rows on every "
+            "execution — call ds.materialize() first")
+
     counts = np.zeros(bins, dtype=np.int64)
     for row in (pruned.map_batches(hist, batch_format="pyarrow")
                 .groupby("b").sum("c").take_all()):
         counts[int(row["b"])] = int(row["sum(c)"])
     cum = np.cumsum(counts)                 # cum[b] = ranks through bin b
+    if int(cum[-1]) != n:
+        raise disagree(f"{n} values, then {int(cum[-1])} inside their extent")
     need: dict[float, int] = {}
     for q, r in ranks.items():
         need[q] = int(np.searchsorted(cum, r, side="left"))
@@ -157,6 +171,9 @@ def exact_quantiles(ds, col: str, qs: list[float], *, bins: int = 4096,
             f"{bins}) to narrow them")
     vals = np.array([r["v"] for r in pairs], dtype=np.float64)
     cts = np.array([r["sum(c)"] for r in pairs], dtype=np.int64)
+    if int(cts.sum()) != int(counts[needed_bins].sum()):
+        raise disagree(f"{int(counts[needed_bins].sum())} values in the "
+                       f"needed bins, then {int(cts.sum())}")
     order = np.argsort(vals, kind="stable")
     vals, cts = vals[order], cts[order]
 

@@ -240,8 +240,11 @@ class QualityStage:
         alpha = self._alpha_counts(text)
         # unicode-whitespace tokenization == str.split() (RE2 \s is
         # ASCII-only, so count_substring_regex(r"\S+") would disagree on
-        # NBSP and friends)
-        toks = pc.utf8_split_whitespace(text)
+        # NBSP and friends). Trailing whitespace is trimmed first: on the
+        # last string of the buffer, utf8_split_whitespace (pyarrow 16.1)
+        # sometimes keeps a trailing "\t" in the last token and sometimes
+        # splits it off, from one call to the next on the same input
+        toks = pc.utf8_split_whitespace(pc.utf8_rtrim_whitespace(text))
         flat = pc.list_flatten(toks)
         parents = _np_i64(pc.list_parent_indices(toks))
         flen = _np_i64(pc.utf8_length(flat))

@@ -188,7 +188,10 @@ def merge_update(
         else changes[key]
     )
     matched_mask = pc.is_in(change_keys, value_set=base_keys)
-    unmatched = changes.num_rows - pc.sum(pc.cast(matched_mask, pa.int64())).as_py()
+    # the sum of an empty mask is null (a bucket whose update-epoch rows
+    # were all deletes hands over no changes)
+    unmatched = changes.num_rows - (
+        pc.sum(pc.cast(matched_mask, pa.int64())).as_py() or 0)
     changes = changes.filter(matched_mask)
     if changes.num_rows == 0:
         return base, unmatched

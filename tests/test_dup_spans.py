@@ -154,3 +154,26 @@ def test_null_doc_ids_follow_sql_distinct_semantics():
     assert len(out3) == 3 and out3["doc_id"].isna().sum() == 1
     stats = duplicate_span_stats(ray.data.from_arrow(t3), k=8).to_pandas()
     assert set(stats["doc_id"]) == {"a", "b"}  # null-id excluded from stats
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_span_stats_sql_oracle_excludes_null_ids():
+    """The registered oracle of duplicate_span_stats pins its null-id
+    exclusion: on a corpus where a null-id doc shares a span with two
+    real docs, the SQL gives no NULL-id group row, matching the
+    implementation."""
+    import duckdb
+    import ray.data
+
+    from geomesa_nifi_ray.dedup import duplicate_span_stats
+    from geomesa_nifi_ray.pipelines.queries import _DUP_SPAN_STATS_SQL
+
+    documents = pa.table({  # noqa: F841 (read by duckdb by name)
+        "doc_id": pa.array(["a", "b", None]),
+        "text": pa.array([f"{SHARED} x", f"one {SHARED} y", f"{SHARED} z"]),
+    })
+    con = duckdb.connect()
+    con.register("documents", documents)
+    sql = {r[0]: r[1] for r in con.execute(_DUP_SPAN_STATS_SQL).fetchall()}
+    got = duplicate_span_stats(ray.data.from_arrow(documents), k=8).to_pandas()
+    assert sql == dict(zip(got.doc_id, got.dup_tokens)) == {"a": 8, "b": 8}

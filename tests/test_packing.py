@@ -243,3 +243,21 @@ def test_all_zero_values_running_total():
     grp = running_total(ray.data.from_arrow(t), "doc_id", "n_tokens",
                         group_col="doc_id").to_pandas()
     assert list(grp["cum_before"]) == [0, 0, 0]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_pack_sequences_rejects_negative_values():
+    """A negative token count has no packing layout (it used to give
+    seq_id 0 and seq_off -1 for cum_before -1): it raises instead."""
+    import ray.data
+
+    t = pa.table({"doc_id": pa.array(["a", "b", "c"]),
+                  "n_tokens": pa.array([5, -1, 3], pa.int64())})
+    with pytest.raises(Exception, match="negative"):
+        pack_sequences(ray.data.from_arrow(t), "doc_id", "n_tokens",
+                       4).take_all()
+    # zero is a valid count
+    ok = pa.table({"doc_id": pa.array(["a", "b"]),
+                   "n_tokens": pa.array([0, 3], pa.int64())})
+    assert len(pack_sequences(ray.data.from_arrow(ok), "doc_id", "n_tokens",
+                              4).take_all()) == 2

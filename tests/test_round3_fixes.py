@@ -1092,8 +1092,7 @@ def test_tombstone_delta_sqlite_backend(ray_session, tmp_path):
     assert len(entry["deltas"]) == 1
     # visible state through the sink-aware reader
     from geomesa_nifi_ray.upsert import lww_dedupe  # noqa: F401
-    parts = [eng.sink.read_partition(f)
-             for f in type(eng.table).chain_files(entry)]
+    [parts], _, _ = eng.sink.read_chains([type(eng.table).chain_refs(entry)])
     from geomesa_nifi_ray.lake import merge_chain_tables
     merged = merge_chain_tables(parts, eng.table.schema, "k",
                                 eng.table.order)

@@ -143,3 +143,41 @@ def test_append_epoch_immutable(tmp_path, binlog):
     src.append_epoch(t0, epoch=0)
     with pytest.raises(Exception):
         src.append_epoch(t0, epoch=0)
+
+
+def test_sqlite_tail_after_delete_keys_applies_every_epoch(ray_session,
+                                                           tmp_path):
+    """``delete_keys`` commits lake epoch 2 between producer epochs 1 and
+    2. The sqlite source must still deliver its epoch 2 (offsets 200-299):
+    the cursor is the committed offset, and ``read`` selects the
+    descriptor's ``source_epoch``, not the lake epoch it is assigned. The
+    log is 400 events in 4 epochs."""
+    binlog = write_binlog(str(tmp_path / "bl4"), BinlogSpec(
+        num_events=400, num_urls=150, num_epochs=4, seed=7))
+    src = _sqlite_source(tmp_path, binlog, upto=2)
+    lake = str(tmp_path / "lake_del")
+    eng = CDCEngine(lake, num_buckets=4)
+    assert [r.epoch for r in eng.tail(src, poll_interval=0,
+                                      max_idle_polls=1)] == [0, 1]
+    victim = eng.table.snapshot_table()["url"][0].as_py()
+    eng.delete_keys([victim])                                # lake epoch 2
+    assert eng.committed_offset() == 199
+    for i in (2, 3):
+        src.append_epoch(_epoch_table(binlog, i), epoch=i)
+    # a fresh tailer (crash after the maintenance epoch) resumes from the lake
+    eng = CDCEngine(lake)
+    res = eng.tail(src, poll_interval=0, max_idle_polls=1)
+    assert [r.epoch for r in res] == [3, 4]
+    ranges = [(eng.table.manifest_head(e)["offset_min"],
+               eng.table.manifest_head(e)["offset_max"])
+              for e in eng.table.manifest_epochs()]
+    assert ranges == [(0, 99), (100, 199), (-1, -1), (200, 299), (300, 399)]
+
+    ref = CDCEngine(str(tmp_path / "lake_del_ref"), num_buckets=4)
+    for e, d in enumerate(binlog["epochs"]):
+        if e == 2:
+            ref.delete_keys([victim])
+        nxt = 0 if e == 0 else ref.table.committed_epoch() + 1
+        ref.apply_epoch(d["files"], epoch=nxt,
+                        offset_range=(d["offset_min"], d["offset_max"]))
+    assert ref.table.snapshot_table().equals(eng.table.snapshot_table())

@@ -27,12 +27,9 @@ def _snapshot_via_sink(eng: CDCEngine) -> pa.Table:
     import pyarrow.compute as pc
 
     entries = eng.table.live_entries()
-    parts = [
-        eng.table.merge_chain(
-            [eng.sink.read_partition(f) for f in LakeTable.chain_files(e)]
-        )
-        for _, e in sorted(entries.items())
-    ]
+    chains, _, _ = eng.sink.read_chains(
+        [LakeTable.chain_refs(e) for _, e in sorted(entries.items())])
+    parts = [eng.table.merge_chain(c) for c in chains]
     out = pa.concat_tables(parts)
     return out.take(pc.sort_indices(out, sort_keys=[("url", "ascending")]))
 

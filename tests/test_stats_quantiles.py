@@ -100,3 +100,32 @@ def test_nan_excluded_inf_and_bigint_raise():
     big = pa.table({"v": pa.array([2**53 + 1, 2**53 + 2], pa.int64())})
     with pytest.raises(ValueError, match="2\\^53"):
         exact_quantiles(ray.data.from_arrow(big), "v", [0.5])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_passes_that_see_different_data_raise(tmp_path):
+    """exact_quantiles executes its input once per pass. An input that
+    changes between executions (here: every execution shifts the values
+    by 1000) makes the passes disagree; that raises a ValueError naming
+    materialize() instead of an IndexError or a wrong value."""
+    import ray.data
+
+    counter = tmp_path / "executions"
+    counter.write_text("0")
+
+    def shifting(b: pa.Table) -> pa.Table:
+        k = int(counter.read_text())
+        counter.write_text(str(k + 1))
+        import pyarrow.compute as pc
+
+        return pa.table({"v": pc.add(b["v"], 1000 * k)})
+
+    ds = ray.data.from_arrow(pa.table({"v": pa.array(range(100),
+                                                     pa.int64())}))
+    with pytest.raises(ValueError, match="materialize"):
+        exact_quantiles(ds.map_batches(shifting, batch_format="pyarrow"),
+                        "v", [0.5])
+    # the same rows materialized once give the exact answer
+    counter.write_text("0")
+    fixed = ds.map_batches(shifting, batch_format="pyarrow").materialize()
+    assert exact_quantiles(fixed, "v", [0.5]) == {0.5: 49.0}

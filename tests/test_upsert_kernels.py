@@ -101,6 +101,16 @@ def test_merge_update_partial_columns_and_nomatch():
     assert len(out) == 2                       # no insert fallback
 
 
+def test_merge_update_with_no_changes_keeps_base():
+    """An update-mode bucket whose rows were all deletes hands the merge an
+    empty change table: the base stands and nothing is unmatched (the
+    empty mask's null sum used to raise a TypeError)."""
+    base = _tbl([("a", 10, 0, "x"), ("b", 10, 1, "y")])
+    merged, unmatched = merge_update(base, base.slice(0, 0), "url", ORDER)
+    assert unmatched == 0
+    assert merged.equals(base)
+
+
 def test_merge_upsert_empty_base():
     changes = _tbl([("a", 10, 0, "x"), ("a", 20, 1, "y")])
     out = merge_upsert(None, changes, "url", ORDER)

@@ -1,7 +1,8 @@
 """Single-layer bench of the bucket merger (``make_bucket_merger``).
 
 Builds a 16-bucket lake from a ``synth.BinlogSpec`` binlog whose bucket
-chains hold 0-4 delta files (bucket b has min(b % 5, 4) deltas), then
+chains hold 0-4 deltas (bucket b has min(b % 5, 4); each delta epoch
+writes one segment for all the buckets it touches), then
 times the merger alone, in-process — no Ray tasks, no manifest commit —
 on the next epoch's converted rows, twice:
 
